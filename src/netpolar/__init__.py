@@ -38,7 +38,6 @@ from .builders import (
     party_positions,
 )
 from .extremal import (
-    BipolarSpec,
     ExtremalReport,
     bipolar_distribution,
     counterexample_search,

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import brentq, minimize_scalar
 
-from .errors import ConvergenceFailureError, DomainError, WitnessNotFoundError
+from .errors import ConvergenceFailureError, DomainError
 
 MAX_BISECTION_ITERATIONS = 200
 SCAN_START = 1e-3
@@ -175,7 +175,8 @@ def admissible_interval(c: float, tol: float = 1e-9) -> AlphaInterval:
     lower = alpha_lower(c, tol)
     upper = alpha_upper(c, tol)
     interval = AlphaInterval(c, lower, upper, tol)
-    assert interval.contains(1.0)
+    if not interval.contains(1.0):
+        raise ConvergenceFailureError(f"alpha = 1 lies outside the computed interval {interval}")
     return interval
 
 
@@ -204,4 +205,4 @@ def lemma1_witness(alpha: float, budget: int = 64) -> tuple[float, float]:
             if vals[k] > 0:
                 return float(zs[k]), c
         gap /= 2.0
-    raise WitnessNotFoundError(f"no positivity witness found for alpha = {alpha}")
+    raise ConvergenceFailureError(f"no positivity witness found for alpha = {alpha}")

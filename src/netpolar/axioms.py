@@ -15,7 +15,7 @@ from dataclasses import dataclass, asdict
 import numpy as np
 
 from .alpha_bounds import f_eval
-from .errors import EmptyRangeError, InvalidScenarioError, ThresholdNotMetError
+from .errors import DomainError
 
 
 @dataclass(frozen=True)
@@ -44,40 +44,40 @@ class AxiomScenario:
 
     def validate(self) -> None:
         if self.alpha <= 0:
-            raise InvalidScenarioError("alpha must be positive")
+            raise DomainError("alpha must be positive")
         if self.kind == "A1":
             if not (self.p > self.q > 0):
-                raise InvalidScenarioError("A1 needs pi_x > pi_y = pi_z > 0")
+                raise DomainError("A1 needs pi_x > pi_y = pi_z > 0")
             if None in (self.d_xy, self.d_xz, self.d_yz):
-                raise InvalidScenarioError("A1 needs d_xy, d_xz, d_yz")
+                raise DomainError("A1 needs d_xy, d_xz, d_yz")
             if not (0 < self.d_xy <= self.d_xz) or self.d_yz < 0:
-                raise InvalidScenarioError("A1 needs 0 < d_xy <= d_xz and d_yz >= 0")
+                raise DomainError("A1 needs 0 < d_xy <= d_xz and d_yz >= 0")
         elif self.kind == "A2":
             if self.r is None or not (self.p > self.r > 0) or not self.q > 0:
-                raise InvalidScenarioError("A2 needs pi_x > pi_z > 0 and pi_y > 0")
+                raise DomainError("A2 needs pi_x > pi_z > 0 and pi_y > 0")
             if None in (self.d_xy, self.d_xz, self.d_yz):
-                raise InvalidScenarioError("A2 needs d_xy, d_xz, d_yz")
+                raise DomainError("A2 needs d_xy, d_xz, d_yz")
             if not (self.d_xz > self.d_xy > self.d_yz > 0):
-                raise InvalidScenarioError("A2 needs d_xz > d_xy > d_yz > 0")
+                raise DomainError("A2 needs d_xz > d_xy > d_yz > 0")
             delta = self.perturbation
             if delta is None or not 0 < delta:
-                raise InvalidScenarioError("A2 needs a positive shift")
+                raise DomainError("A2 needs a positive shift")
             if not (self.d_xy + delta < self.d_xz and self.d_yz - delta > 0):
-                raise InvalidScenarioError("A2 shift outside the admissible window")
+                raise DomainError("A2 shift outside the admissible window")
         elif self.kind in ("A3", "A3c"):
             if not (self.p > 0 and self.q > 0):
-                raise InvalidScenarioError("A3 needs positive masses")
+                raise DomainError("A3 needs positive masses")
             if self.d is None or not self.d > 0:
-                raise InvalidScenarioError("A3 needs d > 0")
+                raise DomainError("A3 needs d > 0")
             if self.c_bar is None or not self.c_bar > 1:
-                raise InvalidScenarioError("A3 needs lateral ratio c_bar > 1")
+                raise DomainError("A3 needs lateral ratio c_bar > 1")
             delta = self.perturbation
             if delta is None or not (0 < delta <= self.p / 2):
-                raise InvalidScenarioError("A3 needs reallocation in (0, pi_x / 2]")
+                raise DomainError("A3 needs reallocation in (0, pi_x / 2]")
             if self.kind == "A3c" and self.c_threshold is None:
-                raise InvalidScenarioError("A3c needs a threshold c")
+                raise DomainError("A3c needs a threshold c")
         else:
-            raise InvalidScenarioError(f"unknown scenario kind {self.kind!r}")
+            raise DomainError(f"unknown scenario kind {self.kind!r}")
 
 
 @dataclass(frozen=True)
@@ -121,7 +121,7 @@ def check_axiom1(s: AxiomScenario, K: float = 1.0) -> AxiomVerdict:
     (2^alpha - 1)(d_xy + d_xz) p > 2 q d_yz for cross-validation.
     """
     if s.kind != "A1":
-        raise InvalidScenarioError(f"expected kind A1, got {s.kind!r}")
+        raise DomainError(f"expected kind A1, got {s.kind!r}")
     s.validate()
     a = s.alpha
     before = _p3((s.p, s.q, s.q), (s.d_xy, s.d_xz, s.d_yz), a, K)
@@ -136,7 +136,7 @@ def check_axiom1(s: AxiomScenario, K: float = 1.0) -> AxiomVerdict:
 def check_axiom2(s: AxiomScenario, K: float = 1.0) -> AxiomVerdict:
     """Shift the middle group toward the smaller extreme by the given step."""
     if s.kind != "A2":
-        raise InvalidScenarioError(f"expected kind A2, got {s.kind!r}")
+        raise DomainError(f"expected kind A2, got {s.kind!r}")
     s.validate()
     delta = s.perturbation
     masses = (s.p, s.q, s.r)
@@ -153,10 +153,10 @@ def check_axiom3(s: AxiomScenario, K: float = 1.0) -> AxiomVerdict:
     local polarization increase for outward reallocation.
     """
     if s.kind not in ("A3", "A3c"):
-        raise InvalidScenarioError(f"expected kind A3 or A3c, got {s.kind!r}")
+        raise DomainError(f"expected kind A3 or A3c, got {s.kind!r}")
     s.validate()
     if s.kind == "A3c" and s.c_bar < s.c_threshold:
-        raise ThresholdNotMetError(
+        raise DomainError(
             f"lateral ratio {s.c_bar} below the fixed threshold {s.c_threshold}"
         )
     delta = s.perturbation
@@ -182,7 +182,7 @@ class SamplerRanges:
     def validate(self) -> None:
         for name, (lo, hi) in (("mass", self.mass), ("dist", self.dist), ("c_bar", self.c_bar)):
             if not (0 < lo < hi):
-                raise EmptyRangeError(f"empty {name} range ({lo}, {hi})")
+                raise DomainError(f"empty {name} range ({lo}, {hi})")
 
 
 def _log_uniform(rng: np.random.Generator, lo: float, hi: float) -> float:
@@ -190,8 +190,7 @@ def _log_uniform(rng: np.random.Generator, lo: float, hi: float) -> float:
 
 
 def _sample_scenario(kind: str, alpha: float, rng: np.random.Generator,
-                     ranges: SamplerRanges, c_threshold: float | None,
-                     a1_closed_form_only: bool) -> AxiomScenario:
+                     ranges: SamplerRanges, c_threshold: float | None) -> AxiomScenario:
     mlo, mhi = ranges.mass
     dlo, dhi = ranges.dist
     if kind == "A1":
@@ -203,11 +202,9 @@ def _sample_scenario(kind: str, alpha: float, rng: np.random.Generator,
             d_xy, d_xz = min(d1, d2), max(d1, d2)
             # metric consistency: the three distances satisfy the triangle inequality
             d_yz = rng.uniform(d_xz - d_xy, d_xz + d_xy)
-            if a1_closed_form_only and not (
-                (2.0 ** alpha - 1.0) * (d_xy + d_xz) * p > 2.0 * q * d_yz
-            ):
-                continue
-            return AxiomScenario("A1", alpha, p, q, d_xy=d_xy, d_xz=d_xz, d_yz=d_yz)
+            # keep only draws that satisfy the proof's closed-form inequality
+            if (2.0 ** alpha - 1.0) * (d_xy + d_xz) * p > 2.0 * q * d_yz:
+                return AxiomScenario("A1", alpha, p, q, d_xy=d_xy, d_xz=d_xz, d_yz=d_yz)
     if kind == "A2":
         p = _log_uniform(rng, mlo, mhi)
         r = p * rng.uniform(0.01, 0.99)
@@ -222,7 +219,7 @@ def _sample_scenario(kind: str, alpha: float, rng: np.random.Generator,
     if kind in ("A3", "A3c"):
         lo = c_threshold if (kind == "A3c" and c_threshold) else ranges.c_bar[0]
         if lo >= ranges.c_bar[1]:
-            raise EmptyRangeError(
+            raise DomainError(
                 f"threshold {lo} leaves no admissible c_bar below {ranges.c_bar[1]}"
             )
         c_bar = rng.uniform(max(lo, np.nextafter(ranges.c_bar[0], 2.0)), ranges.c_bar[1])
@@ -232,7 +229,7 @@ def _sample_scenario(kind: str, alpha: float, rng: np.random.Generator,
         delta = p / 2.0 * rng.uniform(0.01, 1.0)
         return AxiomScenario(kind, alpha, p, q, d=d, c_bar=c_bar,
                              perturbation=delta, c_threshold=c_threshold)
-    raise InvalidScenarioError(f"unknown scenario kind {kind!r}")
+    raise DomainError(f"unknown scenario kind {kind!r}")
 
 
 def run_suite(
@@ -243,7 +240,6 @@ def run_suite(
     c: float | None = None,
     ranges: SamplerRanges | None = None,
     K: float = 1.0,
-    a1_closed_form_only: bool = True,
 ) -> AxiomReport:
     """Run ``count`` seeded random scenarios of one axiom and tally verdicts.
 
@@ -251,17 +247,17 @@ def run_suite(
     with its verdict.
     """
     if count < 1:
-        raise EmptyRangeError("count must be at least 1")
+        raise DomainError("count must be at least 1")
     ranges = ranges or SamplerRanges()
     ranges.validate()
     check = _CHECKS[axiom] if axiom in _CHECKS else None
     if check is None:
-        raise InvalidScenarioError(f"unknown axiom {axiom!r}")
+        raise DomainError(f"unknown axiom {axiom!r}")
     rng = np.random.default_rng(seed)
     failures = 0
     witness = None
     for i in range(count):
-        s = _sample_scenario(axiom, alpha, rng, ranges, c, a1_closed_form_only)
+        s = _sample_scenario(axiom, alpha, rng, ranges, c)
         verdict = check(s, K)
         if not verdict.satisfied:
             failures += 1

@@ -19,17 +19,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import (
-    DisconnectedAgreementGraphError,
-    DisconnectedPartyGraphError,
-    DisconnectedError,
-    DuplicatePositionError,
-    EmptyPartyError,
-    FewerThanTwoGroupsError,
-    SchemaError,
-    TooManyAlternativesError,
-    TooManyBillsError,
-)
+from .errors import DomainError, ValidationError
 from .graph import Network, validate_network
 
 MAX_BILLS = 20        # vote hypercube has 2^k nodes
@@ -46,17 +36,17 @@ class VoteMatrix:
 
     def __post_init__(self):
         if not self.voters:
-            raise SchemaError("vote matrix needs at least one voter")
+            raise ValidationError("vote matrix needs at least one voter")
         if len(set(self.voters)) != len(self.voters):
-            raise SchemaError("voter ids must be unique")
+            raise ValidationError("voter ids must be unique")
         k = len(self.entries[0]) if self.entries else 0
         if k < 1:
-            raise SchemaError("vote matrix needs at least one bill")
+            raise ValidationError("vote matrix needs at least one bill")
         for voter, row in zip(self.voters, self.entries):
             if len(row) != k:
-                raise SchemaError(f"voter {voter!r} has {len(row)} entries, expected {k}")
+                raise ValidationError(f"voter {voter!r} has {len(row)} entries, expected {k}")
             if any(v not in (0, 1) for v in row):
-                raise SchemaError(f"voter {voter!r} has non-binary entries")
+                raise ValidationError(f"voter {voter!r} has non-binary entries")
 
     @property
     def k(self) -> int:
@@ -72,15 +62,15 @@ class PreferenceProfile:
 
     def __post_init__(self):
         if len(self.alternatives) < 2:
-            raise SchemaError("need at least two alternatives")
+            raise ValidationError("need at least two alternatives")
         if len(set(self.alternatives)) != len(self.alternatives):
-            raise SchemaError("alternatives must be distinct")
+            raise ValidationError("alternatives must be distinct")
         universe = set(self.alternatives)
         for ranking, count in self.ballots:
             if set(ranking) != universe or len(ranking) != len(self.alternatives):
-                raise SchemaError(f"ranking {ranking!r} is not a permutation of the alternatives")
+                raise ValidationError(f"ranking {ranking!r} is not a permutation of the alternatives")
             if not count > 0:
-                raise SchemaError(f"ballot count must be positive, got {count}")
+                raise ValidationError(f"ballot count must be positive, got {count}")
 
 
 @dataclass(frozen=True)
@@ -91,18 +81,18 @@ class MassPoints:
 
     def __post_init__(self):
         if not self.points:
-            raise SchemaError("need at least one mass point")
+            raise ValidationError("need at least one mass point")
         positions = [pos for pos, _ in self.points]
         if len(set(positions)) != len(positions):
-            raise DuplicatePositionError("positions must be pairwise distinct")
+            raise ValidationError("positions must be pairwise distinct")
         dim = len(positions[0])
         for pos, mass in self.points:
             if len(pos) != dim:
-                raise SchemaError("all positions must have the same dimension")
+                raise ValidationError("all positions must have the same dimension")
             if not all(np.isfinite(pos)):
-                raise SchemaError(f"non-finite coordinates in {pos!r}")
+                raise ValidationError(f"non-finite coordinates in {pos!r}")
             if mass < 0:
-                raise SchemaError(f"negative mass at {pos!r}")
+                raise ValidationError(f"negative mass at {pos!r}")
 
     @property
     def dim(self) -> int:
@@ -120,7 +110,7 @@ def build_line(points: MassPoints) -> Network:
     discrete distribution on the real line.
     """
     if points.dim != 1:
-        raise DuplicatePositionError("build_line expects 1-D positions")
+        raise DomainError("build_line expects 1-D positions")
     ordered = sorted(points.points, key=lambda p: p[0][0])
     nodes = [(_point_id(pos), mass) for pos, mass in ordered]
     edges = []
@@ -132,14 +122,14 @@ def build_line(points: MassPoints) -> Network:
 def build_complete_uniform(masses: Sequence[float]) -> Network:
     """Unit-weight complete graph: every pair of groups at distance 1."""
     if len(masses) < 2:
-        raise FewerThanTwoGroupsError("need at least two groups")
+        raise DomainError("need at least two groups")
     ids = [f"g{i}" for i in range(len(masses))]
     nodes = list(zip(ids, masses))
     edges = [(a, b, 1.0) for a, b in itertools.combinations(ids, 2)]
     return validate_network(nodes, edges)
 
 
-def build_vote_hypercube(votes: VoteMatrix, max_bills: int = MAX_BILLS) -> Network:
+def build_vote_hypercube(votes: VoteMatrix) -> Network:
     """Hypercube of all 2^k vote combinations with Hamming-1 unit edges.
 
     Every combination appears as a node (bitstring id) even at zero mass;
@@ -147,8 +137,8 @@ def build_vote_hypercube(votes: VoteMatrix, max_bills: int = MAX_BILLS) -> Netwo
     voters with that exact vote vector.
     """
     k = votes.k
-    if k > max_bills:
-        raise TooManyBillsError(f"{k} bills would create 2^{k} nodes")
+    if k > MAX_BILLS:
+        raise DomainError(f"{k} bills would create 2^{k} nodes")
     counts = Counter("".join(map(str, row)) for row in votes.entries)
     nodes = []
     for code in range(2 ** k):
@@ -178,31 +168,38 @@ def build_representatives(votes: VoteMatrix) -> Network:
         differing = sum(a != b for a, b in zip(ra, rb))
         if differing < k:  # at least one agreement
             edges.append((va, vb, differing / k))
-    try:
-        return validate_network(nodes, edges)
-    except DisconnectedError as exc:
-        raise DisconnectedAgreementGraphError(str(exc)) from exc
+    return validate_network(nodes, edges)
 
 
-def party_positions(votes: VoteMatrix) -> dict[str, tuple[int | None, ...]]:
-    """Per-bill majority vote of each party; ``None`` marks a tied bill."""
-    if votes.party is None:
-        raise SchemaError("party map required")
+def _party_members(votes: VoteMatrix) -> dict[str, list[tuple[int, ...]]]:
+    """Vote rows grouped by party, parties in order of first appearance."""
     members: dict[str, list[tuple[int, ...]]] = {}
     for voter, row in zip(votes.voters, votes.entries):
         party = votes.party.get(voter)
         if party is None:
-            raise SchemaError(f"voter {voter!r} has no party")
+            raise ValidationError(f"voter {voter!r} has no party")
         members.setdefault(party, []).append(row)
+    return members
+
+
+def _majorities(members: dict[str, list[tuple[int, ...]]],
+                k: int) -> dict[str, tuple[int | None, ...]]:
     out = {}
     for party, rows in members.items():
         positions: list[int | None] = []
-        for bill in range(votes.k):
+        for bill in range(k):
             ones = sum(row[bill] for row in rows)
             zeros = len(rows) - ones
             positions.append(None if ones == zeros else int(ones > zeros))
         out[party] = tuple(positions)
     return out
+
+
+def party_positions(votes: VoteMatrix) -> dict[str, tuple[int | None, ...]]:
+    """Per-bill majority vote of each party; ``None`` marks a tied bill."""
+    if votes.party is None:
+        raise ValidationError("party map required")
+    return _majorities(_party_members(votes), votes.k)
 
 
 def build_parties(votes: VoteMatrix, tie_rule: str = "strict-majority") -> Network:
@@ -215,23 +212,15 @@ def build_parties(votes: VoteMatrix, tie_rule: str = "strict-majority") -> Netwo
     ``exclude-bill`` drops it from the pair's denominator.
     """
     if tie_rule not in ("strict-majority", "exclude-bill"):
-        raise ValueError(f"unknown tie rule {tie_rule!r}")
+        raise DomainError(f"unknown tie rule {tie_rule!r}")
     if votes.party is None:
-        raise SchemaError("party map required to build a party network")
-    members: dict[str, list[tuple[int, ...]]] = {}
-    for voter, row in zip(votes.voters, votes.entries):
-        party = votes.party.get(voter)
-        if party is None:
-            raise SchemaError(f"voter {voter!r} has no party")
-        members.setdefault(party, []).append(row)
+        raise ValidationError("party map required to build a party network")
+    members = _party_members(votes)
     if len(members) < 2:
-        raise FewerThanTwoGroupsError("need at least two parties")
-    for party, rows in members.items():
-        if not rows:
-            raise EmptyPartyError(f"party {party!r} has no members")
+        raise DomainError("need at least two parties")
 
     k = votes.k
-    positions = party_positions(votes)
+    positions = _majorities(members, k)
     nodes = [(p, float(len(rows))) for p, rows in members.items()]
     edges = []
     for pa, pb in itertools.combinations(members, 2):
@@ -245,10 +234,7 @@ def build_parties(votes: VoteMatrix, tie_rule: str = "strict-majority") -> Netwo
             denom = k
         if common >= 1:
             edges.append((pa, pb, 1.0 - common / denom))
-    try:
-        return validate_network(nodes, edges)
-    except DisconnectedError as exc:
-        raise DisconnectedPartyGraphError(str(exc)) from exc
+    return validate_network(nodes, edges)
 
 
 def build_cosponsorship(sponsorships: VoteMatrix) -> Network:
@@ -279,17 +265,15 @@ def kemeny_distance(a: Sequence[str], b: Sequence[str]) -> int:
     return disagreements
 
 
-def build_preference_kemeny(
-    profile: PreferenceProfile, max_alternatives: int = MAX_ALTERNATIVES
-) -> Network:
+def build_preference_kemeny(profile: PreferenceProfile) -> Network:
     """Graph of all m! rankings, unit edges between adjacent transpositions.
 
     Geodesic distances equal the Kemeny distance.  Node mass is the ballot
     count of the ranking, zero for rankings nobody holds.
     """
     m = len(profile.alternatives)
-    if m > max_alternatives:
-        raise TooManyAlternativesError(f"{m} alternatives would create {m}! nodes")
+    if m > MAX_ALTERNATIVES:
+        raise DomainError(f"{m} alternatives would create {m}! nodes")
     counts: dict[tuple[str, ...], float] = {}
     for ranking, count in profile.ballots:
         counts[tuple(ranking)] = counts.get(tuple(ranking), 0.0) + count
@@ -320,7 +304,7 @@ def build_lattice(points: MassPoints, norm: str = "manhattan") -> Network:
     path, so geodesics reproduce the norm metric.
     """
     if norm not in _NORMS:
-        raise ValueError(f"unknown norm {norm!r}; choose from {sorted(_NORMS)}")
+        raise DomainError(f"unknown norm {norm!r}; choose from {sorted(_NORMS)}")
     dist = _NORMS[norm]
     nodes = [(_point_id(pos), mass) for pos, mass in points.points]
     edges = []
@@ -337,28 +321,28 @@ def load_votes_csv(path: str | Path) -> VoteMatrix:
     with open(path, newline="") as fh:
         rows = list(csv.reader(fh))
     if not rows:
-        raise SchemaError(f"{path}: empty vote file")
+        raise ValidationError(f"{path}: empty vote file")
     header = [h.strip() for h in rows[0]]
     if not header or header[0] != "voter":
-        raise SchemaError(f"{path}: first column must be 'voter'")
+        raise ValidationError(f"{path}: first column must be 'voter'")
     has_party = len(header) > 1 and header[1] == "party"
     first_bill = 2 if has_party else 1
     if len(header) <= first_bill:
-        raise SchemaError(f"{path}: no bill columns")
+        raise ValidationError(f"{path}: no bill columns")
     voters, entries = [], []
     party: dict[str, str] = {}
     for lineno, row in enumerate(rows[1:], start=2):
         if not row:
             continue
         if len(row) != len(header):
-            raise SchemaError(f"{path}:{lineno}: expected {len(header)} fields")
+            raise ValidationError(f"{path}:{lineno}: expected {len(header)} fields")
         voters.append(row[0].strip())
         if has_party:
             party[row[0].strip()] = row[1].strip()
         try:
             entries.append(tuple(int(x) for x in row[first_bill:]))
         except ValueError:
-            raise SchemaError(f"{path}:{lineno}: vote entries must be 0/1") from None
+            raise ValidationError(f"{path}:{lineno}: vote entries must be 0/1") from None
     return VoteMatrix(tuple(voters), tuple(entries), party if has_party else None)
 
 
@@ -367,24 +351,24 @@ def load_preferences_csv(path: str | Path) -> PreferenceProfile:
     with open(path, newline="") as fh:
         rows = list(csv.reader(fh))
     if not rows or [h.strip() for h in rows[0]] != ["ranking", "count"]:
-        raise SchemaError(f"{path}: header must be 'ranking,count'")
+        raise ValidationError(f"{path}: header must be 'ranking,count'")
     ballots = []
     alternatives: tuple[str, ...] | None = None
     for lineno, row in enumerate(rows[1:], start=2):
         if not row:
             continue
         if len(row) != 2:
-            raise SchemaError(f"{path}:{lineno}: expected 2 fields")
+            raise ValidationError(f"{path}:{lineno}: expected 2 fields")
         ranking = tuple(s.strip() for s in row[0].split(">"))
         if alternatives is None:
             alternatives = tuple(sorted(ranking))
         try:
             count = float(row[1])
         except ValueError:
-            raise SchemaError(f"{path}:{lineno}: count must be a number") from None
+            raise ValidationError(f"{path}:{lineno}: count must be a number") from None
         ballots.append((ranking, count))
     if alternatives is None:
-        raise SchemaError(f"{path}: no ballots")
+        raise ValidationError(f"{path}: no ballots")
     return PreferenceProfile(alternatives, tuple(ballots))
 
 
@@ -397,11 +381,11 @@ def load_mass_points_csv(path: str | Path) -> MassPoints:
     points = []
     for lineno, row in enumerate(rows, start=1):
         if len(row) < 2:
-            raise SchemaError(f"{path}:{lineno}: need at least one coordinate and a mass")
+            raise ValidationError(f"{path}:{lineno}: need at least one coordinate and a mass")
         try:
             values = [float(x) for x in row]
         except ValueError:
-            raise SchemaError(f"{path}:{lineno}: non-numeric field") from None
+            raise ValidationError(f"{path}:{lineno}: non-numeric field") from None
         points.append((tuple(values[:-1]), values[-1]))
     return MassPoints(tuple(points))
 

@@ -18,7 +18,7 @@ from pathlib import Path
 from . import builders
 from .alpha_bounds import admissible_interval
 from .axioms import run_suite
-from .errors import NetpolarError, SchemaError
+from .errors import NetpolarError, ValidationError
 from .extremal import counterexample_search, verify_bipolar_max
 from .graph import Network, geodesic_distances, network_from_dict, network_to_dict
 from .measures import MeasureParams, normalized_polarization, polarization
@@ -27,20 +27,23 @@ from .measures import MeasureParams, normalized_polarization, polarization
 def parse_network_file(path: str | Path, allow_disconnected: bool = False) -> Network:
     """Load and validate a network JSON file."""
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        raw = json.loads(Path(path).read_text(encoding="utf-8"))
     except OSError as exc:
-        raise SchemaError(f"{path}: {exc.strerror or exc}") from exc
-    try:
-        raw = json.loads(text)
+        raise ValidationError(f"{path}: {exc.strerror or exc}") from exc
     except json.JSONDecodeError as exc:
-        raise SchemaError(f"{path}:{exc.lineno}: invalid JSON: {exc.msg}") from exc
+        raise ValidationError(f"{path}:{exc.lineno}: invalid JSON: {exc.msg}") from exc
+    except (ValueError, RecursionError) as exc:  # bad UTF-8, over-long integers, deep nesting
+        raise ValidationError(f"{path}: invalid JSON: {exc}") from exc
     return network_from_dict(raw, allow_disconnected=allow_disconnected)
 
 
-def _write_report(payload: dict, out: str | None, text: str | None = None) -> None:
-    rendered = text if text is not None else json.dumps(payload, indent=2, sort_keys=True) + "\n"
+def _json(payload: dict) -> str:
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
+def _write_report(text: str, out: str | None) -> None:
     if out:
-        Path(out).write_text(rendered, encoding="utf-8")
+        Path(out).write_text(text, encoding="utf-8")
 
 
 def _config_echo(args: argparse.Namespace) -> dict:
@@ -58,7 +61,7 @@ def _cmd_compute(args) -> int:
     else:
         result = polarization(net, params, dist)
         print(f"value={result.value:.12g}")
-    _write_report({"config": _config_echo(args), "result": result.to_dict()}, args.out)
+    _write_report(_json({"config": _config_echo(args), "result": result.to_dict()}), args.out)
     return 0
 
 
@@ -71,7 +74,7 @@ def _cmd_distances(args) -> int:
         buf.write("," + ",".join(dist.ids) + "\n")
         for i, row in zip(dist.ids, dist.d):
             buf.write(i + "," + ",".join(f"{x:.12g}" for x in row) + "\n")
-        _write_report({}, args.out, text=buf.getvalue())
+        _write_report(buf.getvalue(), args.out)
     else:
         payload = {
             "config": _config_echo(args),
@@ -80,7 +83,7 @@ def _cmd_distances(args) -> int:
             "diameter": dist.diameter,
             "diameter_pair": list(dist.diameter_pair) if dist.diameter_pair else None,
         }
-        _write_report(payload, args.out)
+        _write_report(_json(payload), args.out)
     return 0
 
 
@@ -104,9 +107,9 @@ def _cmd_build(args) -> int:
     elif kind == "prefs":
         net = builders.build_preference_kemeny(builders.load_preferences_csv(args.input))
     else:  # pragma: no cover - argparse restricts choices
-        raise SchemaError(f"unknown builder {kind!r}")
+        raise ValidationError(f"unknown builder {kind!r}")
     print(f"nodes={net.n} edges={len(net.edges)} total_mass={net.total_mass:.12g}")
-    _write_report(network_to_dict(net), args.out)
+    _write_report(_json(network_to_dict(net)), args.out)
     return 0
 
 
@@ -116,7 +119,7 @@ def _cmd_axioms(args) -> int:
         c=args.c, K=args.K,
     )
     print(f"suite={report.axiom} samples={report.samples} failures={report.failures}")
-    _write_report({}, args.out, text=report.to_json() + "\n")
+    _write_report(report.to_json() + "\n", args.out)
     return 0
 
 
@@ -131,11 +134,11 @@ def _cmd_alpha_bounds(args) -> int:
         for iv in intervals:
             lo = "" if iv.lower is None else f"{iv.lower:.12g}"
             lines.append(f"{iv.c:g},{lo},{iv.upper:.12g}")
-        _write_report({}, args.out, text="\n".join(lines) + "\n")
+        _write_report("\n".join(lines) + "\n", args.out)
     else:
         payload = {"config": _config_echo(args),
                    "intervals": [iv.to_dict() for iv in intervals]}
-        _write_report(payload, args.out)
+        _write_report(_json(payload), args.out)
     return 0
 
 
@@ -144,7 +147,7 @@ def _cmd_extremal(args) -> int:
     report = verify_bipolar_max(net, alpha=args.alpha, grid_step=args.step)
     print(f"is_bipolar_max={report.is_bipolar_max} "
           f"bipolar={report.bipolar_value:.12g} best={report.best_value:.12g}")
-    _write_report({}, args.out, text=report.to_json() + "\n")
+    _write_report(report.to_json() + "\n", args.out)
     return 0
 
 
@@ -155,7 +158,7 @@ def _cmd_counterexample(args) -> int:
     else:
         print(f"witness eps={witness['eps']:g} value={witness['value']:.12g} "
               f"bipolar={witness['bipolar_value']:.12g}")
-    _write_report({"config": _config_echo(args), "witness": witness}, args.out)
+    _write_report(_json({"config": _config_echo(args), "witness": witness}), args.out)
     return 0
 
 
@@ -164,23 +167,22 @@ def build_parser() -> argparse.ArgumentParser:
                                      description="Polarization measures on weighted networks")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, network=True):
-        if network:
-            p.add_argument("--network", required=True, help="network JSON file")
-            p.add_argument("--allow-disconnected-longest-path", action="store_true",
-                           dest="allow_disconnected_longest_path")
-        p.add_argument("--alpha", type=float, default=1.0)
-        p.add_argument("--K", type=float, default=1.0)
+    def network_command(name, summary):
+        p = sub.add_parser(name, help=summary)
+        p.add_argument("--network", required=True, help="network JSON file")
+        p.add_argument("--allow-disconnected-longest-path", action="store_true",
+                       dest="allow_disconnected_longest_path")
         p.add_argument("--out", default=None, help="report file path")
-        p.add_argument("--format", choices=["json", "csv"], default="json")
+        return p
 
-    p = sub.add_parser("compute", help="evaluate P_alpha on a network")
-    common(p)
+    p = network_command("compute", "evaluate P_alpha on a network")
+    p.add_argument("--alpha", type=float, default=1.0)
+    p.add_argument("--K", type=float, default=1.0)
     p.add_argument("--normalize", action="store_true")
     p.set_defaults(func=_cmd_compute)
 
-    p = sub.add_parser("distances", help="all-pairs geodesic distances")
-    common(p)
+    p = network_command("distances", "all-pairs geodesic distances")
+    p.add_argument("--format", choices=["json", "csv"], default="json")
     p.set_defaults(func=_cmd_distances)
 
     p = sub.add_parser("build", help="construct a network from data files")
@@ -212,8 +214,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=["json", "csv"], default="json")
     p.set_defaults(func=_cmd_alpha_bounds)
 
-    p = sub.add_parser("extremal", help="exhaustive bipolar maximality check")
-    common(p)
+    p = network_command("extremal", "exhaustive bipolar maximality check")
+    p.add_argument("--alpha", type=float, default=1.0)
     p.add_argument("--step", type=float, default=1.0 / 6.0)
     p.set_defaults(func=_cmd_extremal)
 

@@ -1,165 +1,26 @@
 """Exception types raised across the library.
 
-All domain errors derive from :class:`NetpolarError` so callers (and the
-CLI) can distinguish them from programming errors.
+Every error derives from :class:`NetpolarError`, so callers (and the CLI)
+can tell a rejected input from a programming error.  The four subclasses
+are the distinctions a caller can act on; the message names the check.
 """
 
 
 class NetpolarError(Exception):
-    """Base class for all domain errors raised by netpolar."""
+    """Base class for all errors raised by netpolar."""
 
 
 class ValidationError(NetpolarError, ValueError):
-    """Base class for network validation failures."""
-
-
-# -- network validation ------------------------------------------------------
-
-class EmptyNodeSetError(ValidationError):
-    pass
-
-
-class DuplicateNodeError(ValidationError):
-    pass
-
-
-class DuplicateEdgeError(ValidationError):
-    pass
-
-
-class SelfLoopError(ValidationError):
-    pass
-
-
-class NegativeWeightError(ValidationError):
-    pass
-
-
-class NegativeMassError(ValidationError):
-    pass
+    """Input data is malformed: schema, ids, masses, weights or positions."""
 
 
 class DisconnectedError(ValidationError):
-    pass
+    """A graph is, or would become, disconnected."""
 
-
-class UnknownNodeError(ValidationError):
-    pass
-
-
-# -- structural edits --------------------------------------------------------
-
-class NoSuchEdgeError(NetpolarError):
-    pass
-
-
-class NoSuchNodeError(NetpolarError):
-    pass
-
-
-class WouldDisconnectError(NetpolarError):
-    pass
-
-
-class SingleNodeError(NetpolarError):
-    pass
-
-
-class NonpositiveLambdaError(NetpolarError, ValueError):
-    pass
-
-
-# -- measures ----------------------------------------------------------------
-
-class DimensionMismatchError(NetpolarError):
-    pass
-
-
-class AlphaNotOneError(NetpolarError):
-    pass
-
-
-class ZeroTotalMassError(NetpolarError):
-    pass
-
-
-# -- builders ----------------------------------------------------------------
-
-class DuplicatePositionError(NetpolarError, ValueError):
-    pass
-
-
-class FewerThanTwoGroupsError(NetpolarError, ValueError):
-    pass
-
-
-class TooManyBillsError(NetpolarError, ValueError):
-    pass
-
-
-class TooManyAlternativesError(NetpolarError, ValueError):
-    pass
-
-
-class DisconnectedAgreementGraphError(NetpolarError):
-    pass
-
-
-class EmptyPartyError(NetpolarError, ValueError):
-    pass
-
-
-class DisconnectedPartyGraphError(NetpolarError):
-    pass
-
-
-# -- axioms ------------------------------------------------------------------
-
-class InvalidScenarioError(NetpolarError, ValueError):
-    pass
-
-
-class ThresholdNotMetError(NetpolarError):
-    pass
-
-
-class EmptyRangeError(NetpolarError, ValueError):
-    pass
-
-
-# -- numerics ----------------------------------------------------------------
 
 class DomainError(NetpolarError, ValueError):
-    pass
+    """A parameter or size lies outside the domain where the result is defined."""
 
 
 class ConvergenceFailureError(NetpolarError):
-    pass
-
-
-class WitnessNotFoundError(NetpolarError):
-    pass
-
-
-# -- extremal ----------------------------------------------------------------
-
-class FewerThanFourMassPointsError(NetpolarError, ValueError):
-    pass
-
-
-class TooManyNodesError(NetpolarError, ValueError):
-    pass
-
-
-class StepTooSmallError(NetpolarError, ValueError):
-    pass
-
-
-class UnequalTotalMassError(NetpolarError, ValueError):
-    pass
-
-
-# -- io ----------------------------------------------------------------------
-
-class SchemaError(NetpolarError, ValueError):
-    pass
+    """A numerical search ended without a result."""

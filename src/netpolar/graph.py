@@ -14,22 +14,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .errors import (
-    DisconnectedError,
-    DuplicateEdgeError,
-    DuplicateNodeError,
-    EmptyNodeSetError,
-    NegativeMassError,
-    NegativeWeightError,
-    NonpositiveLambdaError,
-    NoSuchEdgeError,
-    NoSuchNodeError,
-    SchemaError,
-    SelfLoopError,
-    SingleNodeError,
-    UnknownNodeError,
-    WouldDisconnectError,
-)
+from .errors import DisconnectedError, DomainError, ValidationError
 
 Edge = tuple[str, str, float]
 
@@ -56,12 +41,6 @@ class Network:
     @property
     def total_mass(self) -> float:
         return float(sum(self.masses))
-
-    def index(self, node_id: str) -> int:
-        try:
-            return self.ids.index(node_id)
-        except ValueError:
-            raise NoSuchNodeError(f"no node {node_id!r}") from None
 
     def mass_vector(self) -> np.ndarray:
         return np.asarray(self.masses, dtype=float)
@@ -109,14 +88,14 @@ def validate_network(
     """
     nodes = list(nodes)
     if not nodes:
-        raise EmptyNodeSetError("network needs at least one node")
+        raise ValidationError("network needs at least one node")
     ids = tuple(str(i) for i, _ in nodes)
     if len(set(ids)) != len(ids):
-        raise DuplicateNodeError("node ids must be unique")
+        raise ValidationError("node ids must be unique")
     masses = tuple(float(m) for _, m in nodes)
     for i, m in zip(ids, masses):
         if m < 0 or not np.isfinite(m):
-            raise NegativeMassError(f"node {i!r} has invalid mass {m}")
+            raise ValidationError(f"node {i!r} has invalid mass {m}")
 
     known = set(ids)
     seen: set[frozenset[str]] = set()
@@ -124,14 +103,14 @@ def validate_network(
     for u, v, w in edges:
         u, v, w = str(u), str(v), float(w)
         if u not in known or v not in known:
-            raise UnknownNodeError(f"edge ({u!r}, {v!r}) references unknown node")
+            raise ValidationError(f"edge ({u!r}, {v!r}) references unknown node")
         if u == v:
-            raise SelfLoopError(f"self-loop at {u!r}")
+            raise ValidationError(f"self-loop at {u!r}")
         if w < 0 or not np.isfinite(w):
-            raise NegativeWeightError(f"edge ({u!r}, {v!r}) has invalid weight {w}")
+            raise ValidationError(f"edge ({u!r}, {v!r}) has invalid weight {w}")
         key = frozenset((u, v))
         if key in seen:
-            raise DuplicateEdgeError(f"duplicate edge ({u!r}, {v!r})")
+            raise ValidationError(f"duplicate edge ({u!r}, {v!r})")
         seen.add(key)
         clean.append((u, v, w))
 
@@ -194,7 +173,7 @@ def diameter(net: Network) -> tuple[tuple[str, str] | None, float]:
 def average_path_length(net: Network) -> float:
     """Mean geodesic distance over ordered node pairs, sum d(i,j) / (n(n-1))."""
     if net.n < 2:
-        raise SingleNodeError("average path length needs at least two nodes")
+        raise DomainError("average path length needs at least two nodes")
     dm = geodesic_distances(net)
     return float(dm.d.sum() / (net.n * (net.n - 1)))
 
@@ -204,32 +183,32 @@ def delete_edge(net: Network, u: str, v: str) -> Network:
     pair = frozenset((u, v))
     kept = tuple(e for e in net.edges if frozenset(e[:2]) != pair)
     if len(kept) == len(net.edges):
-        raise NoSuchEdgeError(f"no edge ({u!r}, {v!r})")
+        raise ValidationError(f"no edge ({u!r}, {v!r})")
     out = replace(net, edges=kept)
     if not _is_connected(out) and not net.longest_path_convention:
-        raise WouldDisconnectError(f"deleting edge ({u!r}, {v!r}) disconnects the graph")
+        raise DisconnectedError(f"deleting edge ({u!r}, {v!r}) disconnects the graph")
     return out
 
 
 def delete_node(net: Network, u: str) -> Network:
     """Remove node u with its incident edges; refuse if it would disconnect."""
     if u not in net.ids:
-        raise NoSuchNodeError(f"no node {u!r}")
+        raise ValidationError(f"no node {u!r}")
     ids = tuple(i for i in net.ids if i != u)
     if not ids:
-        raise EmptyNodeSetError("cannot delete the only node")
+        raise ValidationError("cannot delete the only node")
     masses = tuple(m for i, m in zip(net.ids, net.masses) if i != u)
     edges = tuple(e for e in net.edges if u not in e[:2])
     out = Network(ids, masses, edges, net.longest_path_convention)
     if not _is_connected(out) and not net.longest_path_convention:
-        raise WouldDisconnectError(f"deleting node {u!r} disconnects the graph")
+        raise DisconnectedError(f"deleting node {u!r} disconnects the graph")
     return out
 
 
 def scale_masses(net: Network, lam: float) -> Network:
     """Multiply every node mass by ``lam > 0``; the graph is unchanged."""
     if not lam > 0:
-        raise NonpositiveLambdaError(f"scale factor must be positive, got {lam}")
+        raise DomainError(f"scale factor must be positive, got {lam}")
     return replace(net, masses=tuple(m * lam for m in net.masses))
 
 
@@ -241,30 +220,40 @@ def network_from_dict(raw: Mapping, allow_disconnected: bool = False) -> Network
     The schema is strict: unknown keys anywhere are rejected.
     """
     if not isinstance(raw, Mapping):
-        raise SchemaError("network document must be a JSON object")
+        raise ValidationError("network document must be a JSON object")
     extra = set(raw) - {"nodes", "edges"}
     if extra:
-        raise SchemaError(f"unknown top-level keys: {sorted(extra)}")
+        raise ValidationError(f"unknown top-level keys: {sorted(extra)}")
     if "nodes" not in raw:
-        raise SchemaError("missing 'nodes'")
+        raise ValidationError("missing 'nodes'")
     nodes = []
-    for rec in raw["nodes"]:
+    for rec in _records(raw, "nodes"):
         if not isinstance(rec, Mapping) or set(rec) != {"id", "mass"}:
-            raise SchemaError(f"node record must have exactly 'id' and 'mass': {rec!r}")
-        if not isinstance(rec["mass"], (int, float)) or isinstance(rec["mass"], bool):
-            raise SchemaError(f"mass must be a number: {rec!r}")
-        nodes.append((str(rec["id"]), float(rec["mass"])))
+            raise ValidationError(f"node record must have exactly 'id' and 'mass': {rec!r}")
+        nodes.append((str(rec["id"]), _number(rec, "mass", "mass")))
     edges = []
-    for rec in raw.get("edges", []):
+    for rec in _records(raw, "edges"):
         if not isinstance(rec, Mapping) or set(rec) != {"u", "v", "w"}:
-            raise SchemaError(f"edge record must have exactly 'u', 'v' and 'w': {rec!r}")
-        if not isinstance(rec["w"], (int, float)) or isinstance(rec["w"], bool):
-            raise SchemaError(f"weight must be a number: {rec!r}")
-        edges.append((str(rec["u"]), str(rec["v"]), float(rec["w"])))
+            raise ValidationError(f"edge record must have exactly 'u', 'v' and 'w': {rec!r}")
+        edges.append((str(rec["u"]), str(rec["v"]), _number(rec, "w", "weight")))
+    return validate_network(nodes, edges, allow_disconnected=allow_disconnected)
+
+
+def _records(raw: Mapping, key: str) -> list:
+    recs = raw.get(key, [])
+    if not isinstance(recs, list):
+        raise ValidationError(f"'{key}' must be a list, got {type(recs).__name__}")
+    return recs
+
+
+def _number(rec: Mapping, key: str, name: str) -> float:
+    value = rec[key]
+    if not isinstance(value, (int, float)) or isinstance(value, bool):
+        raise ValidationError(f"{name} must be a number: {rec!r}")
     try:
-        return validate_network(nodes, edges, allow_disconnected=allow_disconnected)
-    except UnknownNodeError as exc:
-        raise SchemaError(str(exc)) from exc
+        return float(value)
+    except OverflowError:  # an integer beyond the float range
+        raise ValidationError(f"{name} out of range: {rec!r}") from None
 
 
 def network_to_dict(net: Network) -> dict:

@@ -14,27 +14,22 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    AlphaNotOneError,
-    DimensionMismatchError,
-    DomainError,
-    ZeroTotalMassError,
-)
+from .errors import DomainError
 from .graph import DistanceMatrix, Network, geodesic_distances
 
 
 @dataclass(frozen=True)
 class MeasureParams:
-    """Constant K > 0 and identification exponent alpha > 0."""
+    """Finite constant K > 0 and identification exponent alpha > 0."""
 
     K: float = 1.0
     alpha: float = 1.0
 
     def __post_init__(self):
-        if not self.K > 0:
-            raise DomainError(f"K must be positive, got {self.K}")
-        if not self.alpha > 0:
-            raise DomainError(f"alpha must be positive, got {self.alpha}")
+        if not 0 < self.K < np.inf:
+            raise DomainError(f"K must be positive and finite, got {self.K}")
+        if not 0 < self.alpha < np.inf:
+            raise DomainError(f"alpha must be positive and finite, got {self.alpha}")
 
 
 @dataclass(frozen=True)
@@ -61,15 +56,20 @@ def polarization(
     """Evaluate P_alpha by the exact double sum over ordered node pairs.
 
     ``dist`` may carry precomputed distances for ``net``; it is recomputed
-    when absent and rejected when it belongs to a different node set.
+    when absent and rejected when it belongs to a different node set.  A
+    sum that overflows the float range is a :class:`DomainError`, not a
+    silent ``inf`` or ``nan``.
     """
     params = params or MeasureParams()
     if dist is None:
         dist = geodesic_distances(net)
     elif dist.ids != net.ids:
-        raise DimensionMismatchError("distance matrix does not match the network")
+        raise DomainError("distance matrix does not match the network")
     m = net.mass_vector()
-    value = params.K * float(m ** (1.0 + params.alpha) @ dist.d @ m)
+    with np.errstate(over="ignore", invalid="ignore"):  # reported just below
+        value = params.K * float(m ** (1.0 + params.alpha) @ dist.d @ m)
+    if not np.isfinite(value):
+        raise DomainError(f"P_alpha evaluates to {value}: the sum overflows the float range")
     return MeasureResult(value, params, int(np.count_nonzero(m > 0)))
 
 
@@ -98,9 +98,9 @@ def normalized_polarization(
     """
     params = params or MeasureParams()
     if params.alpha != 1.0:
-        raise AlphaNotOneError("normalization is only meaningful at alpha = 1")
+        raise DomainError("normalization is only meaningful at alpha = 1")
     if net.total_mass <= 0:
-        raise ZeroTotalMassError("normalization needs positive total mass")
+        raise DomainError("normalization needs positive total mass")
     if dist is None:
         dist = geodesic_distances(net)
     res = polarization(net, params, dist)

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from netpolar import alpha_bounds
 from netpolar.alpha_bounds import (
     AlphaInterval,
     admissible_interval,
@@ -12,7 +13,7 @@ from netpolar.alpha_bounds import (
     lemma1_witness,
     v_eval,
 )
-from netpolar.errors import DomainError, WitnessNotFoundError
+from netpolar.errors import ConvergenceFailureError, DomainError
 
 # Frozen at tolerance 1e-10 from an independent run of the bisection with
 # the closed-form alpha = 1 cross-checks below confirming the machinery.
@@ -174,6 +175,12 @@ class TestBounds:
         for c in (1.01, 1.2, 1.6, 2.0):
             assert admissible_interval(c).contains(1.0)
 
+    def test_interval_without_alpha_one_is_an_error(self, monkeypatch):
+        # a raised error, not an assert, so the check also runs under python -O
+        monkeypatch.setattr(alpha_bounds, "alpha_upper", lambda c, tol: 0.9)
+        with pytest.raises(ConvergenceFailureError, match="alpha = 1 lies outside"):
+            admissible_interval(2.0)
+
     def test_interval_shrinks_toward_one(self):
         iv = admissible_interval(1.0005)
         assert 0.97 < iv.lower < 1.0 < iv.upper < 1.03
@@ -219,5 +226,5 @@ class TestLemma1Witness:
             lemma1_witness(-0.2)
 
     def test_exhausted_budget_reported(self):
-        with pytest.raises(WitnessNotFoundError):
+        with pytest.raises(ConvergenceFailureError, match="no positivity witness found for alpha = 1.0001"):
             lemma1_witness(1.0001, budget=1)

@@ -12,11 +12,7 @@ from netpolar.axioms import (
     check_axiom3,
     run_suite,
 )
-from netpolar.errors import (
-    EmptyRangeError,
-    InvalidScenarioError,
-    ThresholdNotMetError,
-)
+from netpolar.errors import DomainError
 
 
 def a1(alpha=1.0, p=2.0, q=0.1, d_xy=4.0, d_xz=6.0, d_yz=1.0):
@@ -35,41 +31,41 @@ def a3(alpha=1.0, p=1.0, q=0.8, d=1.0, c_bar=1.5, delta=1e-3, kind="A3", thresho
 
 class TestScenarioValidation:
     def test_a1_needs_strict_mass_order(self):
-        with pytest.raises(InvalidScenarioError):
+        with pytest.raises(DomainError, match="A1 needs pi_x > pi_y = pi_z > 0"):
             check_axiom1(a1(p=1.0, q=1.0))
 
     def test_a1_needs_ordered_distances(self):
-        with pytest.raises(InvalidScenarioError):
+        with pytest.raises(DomainError, match="A1 needs 0 < d_xy <= d_xz"):
             check_axiom1(a1(d_xy=6.0, d_xz=4.0))
 
     def test_a2_needs_strict_distance_chain(self):
-        with pytest.raises(InvalidScenarioError):
+        with pytest.raises(DomainError, match="A2 needs d_xz > d_xy > d_yz > 0"):
             check_axiom2(a2(d_xy=2.5, d_xz=2.0))
 
     def test_a2_shift_must_stay_admissible(self):
-        with pytest.raises(InvalidScenarioError):
+        with pytest.raises(DomainError, match="A2 shift outside the admissible window"):
             check_axiom2(a2(delta=5.0))
 
     def test_a3_reallocation_capped_at_half_the_middle_mass(self):
-        with pytest.raises(InvalidScenarioError):
+        with pytest.raises(DomainError, match="A3 needs reallocation in"):
             check_axiom3(a3(delta=0.6))
 
     def test_a3_needs_spread_ratio_above_one(self):
-        with pytest.raises(InvalidScenarioError):
+        with pytest.raises(DomainError, match="A3 needs lateral ratio c_bar > 1"):
             check_axiom3(a3(c_bar=1.0))
 
     def test_nonpositive_alpha_rejected(self):
-        with pytest.raises(InvalidScenarioError):
+        with pytest.raises(DomainError, match="alpha must be positive"):
             check_axiom1(a1(alpha=0.0))
 
     def test_kind_mismatch_rejected(self):
-        with pytest.raises(InvalidScenarioError):
+        with pytest.raises(DomainError, match="expected kind A1, got 'A2'"):
             check_axiom1(a2())
-        with pytest.raises(InvalidScenarioError):
+        with pytest.raises(DomainError, match="expected kind A3 or A3c, got 'A1'"):
             check_axiom3(a1())
 
     def test_unknown_kind_rejected(self):
-        with pytest.raises(InvalidScenarioError):
+        with pytest.raises(DomainError, match="unknown scenario kind 'A9'"):
             AxiomScenario("A9", 1.0, 1.0, 0.5).validate()
 
 
@@ -183,11 +179,11 @@ class TestAxiom3:
     def test_threshold_gating(self):
         ok = a3(kind="A3c", c_bar=1.8, threshold=1.5)
         assert check_axiom3(ok).satisfied
-        with pytest.raises(ThresholdNotMetError):
+        with pytest.raises(DomainError, match="below the fixed threshold 1.5"):
             check_axiom3(a3(kind="A3c", c_bar=1.2, threshold=1.5))
 
     def test_threshold_required_for_conditional_kind(self):
-        with pytest.raises(InvalidScenarioError):
+        with pytest.raises(DomainError, match="A3c needs a threshold c"):
             check_axiom3(a3(kind="A3c"))
 
 
@@ -230,18 +226,18 @@ class TestSuites:
         assert payload["axiom"] == "A1" and payload["samples"] == 10
 
     def test_unknown_axiom(self):
-        with pytest.raises(InvalidScenarioError):
+        with pytest.raises(DomainError, match="unknown axiom 'A7'"):
             run_suite("A7", alpha=1.0, count=10, seed=1)
 
     def test_empty_count(self):
-        with pytest.raises(EmptyRangeError):
+        with pytest.raises(DomainError, match="count must be at least 1"):
             run_suite("A1", alpha=1.0, count=0, seed=1)
 
     def test_threshold_outside_sampling_range(self):
-        with pytest.raises(EmptyRangeError):
+        with pytest.raises(DomainError, match="threshold 2.5 leaves no admissible c_bar"):
             run_suite("A3c", alpha=1.0, count=10, seed=1, c=2.5)
 
     def test_invalid_ranges(self):
-        with pytest.raises(EmptyRangeError):
+        with pytest.raises(DomainError, match="empty mass range"):
             run_suite("A1", alpha=1.0, count=10, seed=1,
                       ranges=SamplerRanges(mass=(2.0, 1.0)))

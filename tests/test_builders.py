@@ -24,15 +24,7 @@ from netpolar.builders import (
     party_positions,
     ranking_id,
 )
-from netpolar.errors import (
-    DisconnectedAgreementGraphError,
-    DisconnectedPartyGraphError,
-    DuplicatePositionError,
-    FewerThanTwoGroupsError,
-    SchemaError,
-    TooManyAlternativesError,
-    TooManyBillsError,
-)
+from netpolar.errors import DisconnectedError, DomainError, ValidationError
 from netpolar.graph import geodesic_distances
 from netpolar.measures import polarization
 
@@ -52,19 +44,19 @@ def roll_call_votes(with_party=False):
 
 class TestVoteMatrixValidation:
     def test_ragged_rows_rejected(self):
-        with pytest.raises(SchemaError):
+        with pytest.raises(ValidationError, match="voter 'b' has 1 entries, expected 2"):
             VoteMatrix(("a", "b"), ((1, 0), (1,)))
 
     def test_non_binary_rejected(self):
-        with pytest.raises(SchemaError):
+        with pytest.raises(ValidationError, match="non-binary entries"):
             VoteMatrix(("a",), ((1, 2),))
 
     def test_duplicate_voters_rejected(self):
-        with pytest.raises(SchemaError):
+        with pytest.raises(ValidationError, match="voter ids must be unique"):
             VoteMatrix(("a", "a"), ((1,), (0,)))
 
     def test_no_bills_rejected(self):
-        with pytest.raises(SchemaError):
+        with pytest.raises(ValidationError, match="needs at least one bill"):
             VoteMatrix(("a",), ((),))
 
 
@@ -102,11 +94,11 @@ class TestLine:
             assert polarization(net).value == pytest.approx(expected, rel=1e-10)
 
     def test_rejects_higher_dimensions(self):
-        with pytest.raises(DuplicatePositionError):
+        with pytest.raises(DomainError, match="build_line expects 1-D positions"):
             build_line(MassPoints((((0.0, 0.0), 1.0), ((1.0, 1.0), 1.0))))
 
     def test_duplicate_positions_rejected(self):
-        with pytest.raises(DuplicatePositionError):
+        with pytest.raises(ValidationError, match="positions must be pairwise distinct"):
             MassPoints((((1.0,), 1.0), ((1.0,), 2.0)))
 
 
@@ -121,7 +113,7 @@ class TestCompleteUniform:
         assert (off == 1.0).all()
 
     def test_needs_two_groups(self):
-        with pytest.raises(FewerThanTwoGroupsError):
+        with pytest.raises(DomainError, match="need at least two groups"):
             build_complete_uniform([1.0])
 
 
@@ -153,7 +145,7 @@ class TestVoteHypercube:
 
     def test_too_many_bills_rejected(self):
         votes = VoteMatrix(("a",), ((0,) * 21,))
-        with pytest.raises(TooManyBillsError):
+        with pytest.raises(DomainError, match="21 bills would create 2\\^21 nodes"):
             build_vote_hypercube(votes)
 
 
@@ -182,7 +174,7 @@ class TestRepresentatives:
 
     def test_disconnected_agreement_graph_rejected(self):
         votes = VoteMatrix(("a", "b"), ((1, 1), (0, 0)))
-        with pytest.raises(DisconnectedAgreementGraphError):
+        with pytest.raises(DisconnectedError, match="graph is not connected"):
             build_representatives(votes)
 
 
@@ -196,7 +188,7 @@ class TestParties:
     def test_no_common_position_means_no_edge(self):
         # A holds (1,0,0) while B holds (None,1,1): nothing matches, and a
         # two-party graph without the edge cannot be connected.
-        with pytest.raises(DisconnectedPartyGraphError):
+        with pytest.raises(DisconnectedError, match="graph is not connected"):
             build_parties(roll_call_votes(with_party=True))
 
     def _two_party_votes(self, rows_a, rows_b):
@@ -221,16 +213,16 @@ class TestParties:
 
     def test_unknown_tie_rule(self):
         votes = self._two_party_votes([(1,)], [(1,)])
-        with pytest.raises(ValueError):
+        with pytest.raises(DomainError, match="unknown tie rule 'coin-flip'"):
             build_parties(votes, tie_rule="coin-flip")
 
     def test_party_map_required(self):
-        with pytest.raises(SchemaError):
+        with pytest.raises(ValidationError, match="party map required to build a party network"):
             build_parties(roll_call_votes())
 
     def test_single_party_rejected(self):
         votes = VoteMatrix(("a", "b"), ((1,), (1,)), {"a": "X", "b": "X"})
-        with pytest.raises(FewerThanTwoGroupsError):
+        with pytest.raises(DomainError, match="need at least two parties"):
             build_parties(votes)
 
 
@@ -245,7 +237,7 @@ class TestCosponsorship:
 
     def test_no_shared_sponsorships_is_disconnected(self):
         votes = VoteMatrix(("a", "b"), ((1, 0), (0, 1)))
-        with pytest.raises(Exception):
+        with pytest.raises(DisconnectedError, match="graph is not connected"):
             build_cosponsorship(votes)
 
 
@@ -309,11 +301,11 @@ class TestKemeny:
     def test_too_many_alternatives(self):
         alts = tuple("abcdefgh")
         profile = PreferenceProfile(alts, ((alts, 1.0),))
-        with pytest.raises(TooManyAlternativesError):
+        with pytest.raises(DomainError, match="8 alternatives would create 8! nodes"):
             build_preference_kemeny(profile)
 
     def test_invalid_ballot_rejected(self):
-        with pytest.raises(SchemaError):
+        with pytest.raises(ValidationError, match="is not a permutation of the alternatives"):
             PreferenceProfile(("a", "b"), ((("a", "a"), 1.0),))
 
 
@@ -339,7 +331,7 @@ class TestLattice:
         assert lattice_value == pytest.approx(line_value, rel=1e-12)
 
     def test_unknown_norm(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(DomainError, match="unknown norm 'hamming'"):
             build_lattice(self.POINTS, norm="hamming")
 
 
@@ -365,13 +357,13 @@ class TestCsvLoaders:
     def test_votes_bad_header(self, tmp_path):
         path = tmp_path / "votes.csv"
         path.write_text("name,bill_1\nalice,1\n")
-        with pytest.raises(SchemaError):
+        with pytest.raises(ValidationError, match="first column must be 'voter'"):
             load_votes_csv(path)
 
     def test_votes_non_binary_entry(self, tmp_path):
         path = tmp_path / "votes.csv"
         path.write_text("voter,bill_1\nalice,yes\n")
-        with pytest.raises(SchemaError):
+        with pytest.raises(ValidationError, match="vote entries must be 0/1"):
             load_votes_csv(path)
 
     def test_preferences_round_trip(self, tmp_path):
@@ -384,7 +376,7 @@ class TestCsvLoaders:
     def test_preferences_bad_header(self, tmp_path):
         path = tmp_path / "prefs.csv"
         path.write_text("order,n\na>b,1\n")
-        with pytest.raises(SchemaError):
+        with pytest.raises(ValidationError, match="header must be 'ranking,count'"):
             load_preferences_csv(path)
 
     def test_mass_points_with_and_without_header(self, tmp_path):
@@ -405,7 +397,7 @@ class TestCsvLoaders:
     def test_mass_points_non_numeric(self, tmp_path):
         path = tmp_path / "pts.csv"
         path.write_text("0,1\nx,2\n")
-        with pytest.raises(SchemaError):
+        with pytest.raises(ValidationError, match="non-numeric field"):
             load_mass_points_csv(path)
 
 

@@ -1,8 +1,14 @@
 """End-to-end exercises of the command-line interface."""
 
+import contextlib
+import io
 import json
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from netpolar.cli import main
 
@@ -61,6 +67,8 @@ class TestCompute:
         payload = json.loads(out1.read_text())
         assert payload["result"]["value"] == 0.25
         assert payload["config"]["alpha"] == 1.0
+        assert sorted(payload["config"]) == ["K", "allow_disconnected_longest_path", "alpha",
+                                             "command", "network", "normalize", "out"]
 
 
 class TestDistances:
@@ -195,12 +203,131 @@ class TestErrorHandling:
         assert main(["compute", "--network", str(path),
                      "--allow-disconnected-longest-path"]) == 0
 
+    @pytest.mark.parametrize("doc", [
+        {"nodes": 5},
+        {"nodes": [{"id": "a", "mass": 1.0}], "edges": None},
+        {"nodes": [{"id": "a", "mass": 10 ** 400}]},
+    ], ids=["nodes-not-a-list", "edges-null", "integer-beyond-float"])
+    def test_malformed_document_is_a_domain_error(self, doc, tmp_path, capsys):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        assert main(["compute", "--network", str(path)]) == 1
+        assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("raw", [
+        b'{"nodes": [{"id": "a", "mass": ' + b"9" * 5000 + b"}]}",
+        b"[" * 100_000 + b"]" * 100_000,
+        b"\xff\xfe{}",
+    ], ids=["integer-over-4300-digits", "nesting-too-deep", "not-utf-8"])
+    def test_unparsable_file_is_a_domain_error(self, raw, tmp_path, capsys):
+        path = tmp_path / "bad.json"
+        path.write_bytes(raw)
+        assert main(["compute", "--network", str(path)]) == 1
+        assert "invalid JSON" in capsys.readouterr().err
+
+    def test_overflowing_masses_are_a_domain_error(self, tmp_path, capsys):
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps({
+            "nodes": [{"id": "a", "mass": 1e308}, {"id": "b", "mass": 1e308}],
+            "edges": [{"u": "a", "v": "b", "w": 1.0}],
+        }))
+        out = tmp_path / "report.json"
+        assert main(["compute", "--network", str(path), "--out", str(out)]) == 1
+        assert "error: P_alpha evaluates to nan" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_infinite_alpha_is_a_domain_error(self, two_point_file, capsys):
+        assert main(["compute", "--network", two_point_file, "--alpha", "inf"]) == 1
+        assert "error: alpha must be positive and finite" in capsys.readouterr().err
+
     def test_usage_error_exits_two(self):
         with pytest.raises(SystemExit) as exc:
             main(["compute"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("argv", [
+        ["compute", "--format", "csv"],
+        ["distances", "--alpha", "2"],
+        ["distances", "--K", "2"],
+        ["extremal", "--K", "2"],
+        ["extremal", "--format", "csv"],
+    ])
+    def test_flag_the_command_ignores_exits_two(self, argv, two_point_file, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv[:1] + ["--network", two_point_file] + argv[1:])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
     def test_unknown_command_exits_two(self):
         with pytest.raises(SystemExit) as exc:
             main(["frobnicate"])
         assert exc.value.code == 2
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner,
+                                                                max_size=3),
+    max_leaves=6,
+)
+NOT_A_NUMBER = JSON_VALUES.filter(lambda v: isinstance(v, bool) or not isinstance(v, (int, float)))
+BAD_NUMBERS = (st.sampled_from([float("nan"), float("inf"), float("-inf"), 10 ** 400])
+               | st.floats(max_value=-1e-9))
+MUTATIONS = ("document", "not-a-list", "missing-key", "extra-key", "wrong-type", "bad-number",
+             "unknown-endpoint", "overflow")
+
+
+@st.composite
+def malformed_networks(draw):
+    """A valid chain network with one defect that the reader must reject."""
+    n = draw(st.integers(1, 4))
+    weights = st.floats(0.0, 10.0)
+    doc = {"nodes": [{"id": f"n{i}", "mass": draw(weights)} for i in range(n)],
+           "edges": [{"u": f"n{i}", "v": f"n{i + 1}", "w": draw(weights)} for i in range(n - 1)]}
+    rec = draw(st.sampled_from(doc["nodes"] + doc["edges"]))
+    number = "mass" if "mass" in rec else "w"
+    kind = draw(st.sampled_from(MUTATIONS))
+    if kind == "document":
+        return draw(JSON_VALUES.filter(lambda v: not isinstance(v, dict)))
+    if kind == "not-a-list":
+        doc[draw(st.sampled_from(["nodes", "edges"]))] = draw(
+            JSON_VALUES.filter(lambda v: not isinstance(v, list)))
+    elif kind == "missing-key":
+        del rec[draw(st.sampled_from(sorted(rec)))]
+    elif kind == "extra-key":
+        target = draw(st.sampled_from([doc, rec]))
+        target[draw(st.text(max_size=4).filter(lambda k: k not in target))] = draw(JSON_VALUES)
+    elif kind == "wrong-type":
+        rec[number] = draw(NOT_A_NUMBER)
+    elif kind == "bad-number":
+        rec[number] = draw(BAD_NUMBERS)
+    elif kind == "unknown-endpoint":
+        doc["edges"].append({"u": "n0", "v": "elsewhere", "w": 1.0})
+    else:  # masses whose P_alpha overflows the float range
+        for node in doc["nodes"]:
+            node["mass"] = 1e308
+    return doc
+
+
+def _reject_constant(name):
+    raise AssertionError(f"report holds the non-finite value {name}")
+
+
+class TestMalformedInputFuzz:
+    @given(doc=malformed_networks(), normalize=st.booleans())
+    @settings(max_examples=150, deadline=None)
+    def test_rejected_with_a_message_and_no_report(self, doc, normalize):
+        with tempfile.TemporaryDirectory() as tmp:
+            net, out = Path(tmp) / "net.json", Path(tmp) / "report.json"
+            net.write_text(json.dumps(doc), encoding="utf-8")
+            argv = ["compute", "--network", str(net), "--out", str(out)]
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                try:
+                    code = main(argv + ["--normalize"] * normalize)
+                except SystemExit as exc:
+                    code = exc.code
+            assert code in (1, 2)
+            assert "Traceback" not in err.getvalue() and "error:" in err.getvalue()
+            if out.exists():
+                json.loads(out.read_text(encoding="utf-8"), parse_constant=_reject_constant)
