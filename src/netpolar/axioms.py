@@ -43,8 +43,8 @@ class AxiomScenario:
     c_threshold: float | None = None
 
     def validate(self) -> None:
-        if self.alpha <= 0:
-            raise DomainError("alpha must be positive")
+        if not 0 < self.alpha < np.inf:
+            raise DomainError(f"alpha must be positive and finite, got {self.alpha}")
         if self.kind == "A1":
             if not (self.p > self.q > 0):
                 raise DomainError("A1 needs pi_x > pi_y = pi_z > 0")
@@ -246,6 +246,8 @@ def run_suite(
     The witness, when present, is the lowest-index failing scenario together
     with its verdict.
     """
+    if not 0 < alpha < np.inf:
+        raise DomainError(f"alpha must be positive and finite, got {alpha}")
     if count < 1:
         raise DomainError("count must be at least 1")
     ranges = ranges or SamplerRanges()

@@ -196,8 +196,8 @@ def counterexample_search(
     Returns the first witness found as a dict, or ``None`` when the whole
     grid is dominated by the bipolar value for every eps.
     """
-    if alpha <= 0:
-        raise DomainError("alpha must be positive")
+    if not 0 < alpha < np.inf:
+        raise DomainError(f"alpha must be positive and finite, got {alpha}")
     if alpha == 1.0:
         raise DomainError("the bipolar distribution is maximal at alpha = 1")
     units = round(1.0 / DEFAULT_MASS_STEP)

@@ -3,8 +3,10 @@
 A network couples a connected weighted graph with a non-negative mass on
 every node.  Edge weights are direct distances (a larger weight means a
 weaker connection); weight 0 is a legal edge meaning distance 0 and is
-distinct from the absence of an edge.  All-pairs geodesic distances are
-computed with a vectorized Floyd-Warshall sweep.
+distinct from the absence of an edge.  Distances and connectivity come from
+``scipy.sparse.csgraph``, which picks Floyd-Warshall or Dijkstra by density,
+on a sparse matrix built from coordinate triples: that keeps weight-0 edges,
+which csgraph drops from a dense matrix.
 """
 
 from __future__ import annotations
@@ -13,6 +15,8 @@ from dataclasses import dataclass, replace
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import connected_components, shortest_path
 
 from .errors import DisconnectedError, DomainError, ValidationError
 
@@ -45,16 +49,6 @@ class Network:
     def mass_vector(self) -> np.ndarray:
         return np.asarray(self.masses, dtype=float)
 
-    def adjacency(self) -> np.ndarray:
-        """Dense direct-distance matrix, ``inf`` where no edge exists."""
-        adj = np.full((self.n, self.n), np.inf)
-        np.fill_diagonal(adj, 0.0)
-        idx = {v: i for i, v in enumerate(self.ids)}
-        for u, v, w in self.edges:
-            i, j = idx[u], idx[v]
-            adj[i, j] = adj[j, i] = w
-        return adj
-
     def has_edge(self, u: str, v: str) -> bool:
         pair = frozenset((u, v))
         return any(frozenset((a, b)) == pair for a, b, _ in self.edges)
@@ -82,9 +76,9 @@ def validate_network(
     """Validate raw node/edge data and return a :class:`Network`.
 
     ``nodes`` is an ordered sequence of ``(id, mass)`` pairs; ``edges`` an
-    iterable of ``(u, v, weight)`` triples.  Connectivity is verified by
-    traversal unless ``allow_disconnected`` opts into the longest-path
-    convention for cross-component distances.
+    iterable of ``(u, v, weight)`` triples.  Connectivity is verified unless
+    ``allow_disconnected`` opts into the longest-path convention for
+    cross-component distances.
     """
     nodes = list(nodes)
     if not nodes:
@@ -115,26 +109,27 @@ def validate_network(
         clean.append((u, v, w))
 
     net = Network(ids, masses, tuple(clean), longest_path_convention=allow_disconnected)
-    if not _is_connected(net) and not allow_disconnected:
-        raise DisconnectedError("graph is not connected")
+    return _require_connected(net, "graph is not connected")
+
+
+def _csgraph(net: Network) -> csr_matrix:
+    """Edge weights in both directions; validation rules out duplicate edges."""
+    # arrays, not lists: scipy converts Python lists about three times slower
+    idx = {v: i for i, v in enumerate(net.ids)}
+    u = np.array([idx[a] for a, _, _ in net.edges], dtype=np.intp)
+    v = np.array([idx[b] for _, b, _ in net.edges], dtype=np.intp)
+    w = np.array([x for _, _, x in net.edges], dtype=float)
+    ends = (np.concatenate((u, v)), np.concatenate((v, u)))
+    return csr_matrix((np.concatenate((w, w)), ends), shape=(net.n, net.n))
+
+
+def _require_connected(net: Network, message: str) -> Network:
+    """``net``, unless it is disconnected outside the longest-path convention."""
+    if net.longest_path_convention:
+        return net
+    if connected_components(_csgraph(net), directed=False, return_labels=False) > 1:
+        raise DisconnectedError(message)
     return net
-
-
-def _is_connected(net: Network) -> bool:
-    if net.n <= 1:
-        return True
-    neighbors: dict[str, list[str]] = {i: [] for i in net.ids}
-    for u, v, _ in net.edges:
-        neighbors[u].append(v)
-        neighbors[v].append(u)
-    seen = {net.ids[0]}
-    stack = [net.ids[0]]
-    while stack:
-        for w in neighbors[stack.pop()]:
-            if w not in seen:
-                seen.add(w)
-                stack.append(w)
-    return len(seen) == net.n
 
 
 def geodesic_distances(net: Network) -> DistanceMatrix:
@@ -143,21 +138,25 @@ def geodesic_distances(net: Network) -> DistanceMatrix:
     The diameter pair is the first maximizing pair in node order, which
     makes the tie-break deterministic.  Under the longest-path convention,
     distances between components are replaced by the largest finite
-    geodesic distance in the whole graph.
+    geodesic distance in the whole graph.  A path sum beyond the float
+    range is a :class:`DomainError`, never a disconnection.
     """
-    d = net.adjacency()
-    n = net.n
-    for k in range(n):
-        np.minimum(d, d[:, k, None] + d[None, k, :], out=d)
-    if np.isinf(d).any():
+    g = _csgraph(net)
+    d = shortest_path(g, directed=False)
+    # Dijkstra may sum one path in a different order from each end
+    np.minimum(d, d.T, out=d)
+    unreached = np.isinf(d)
+    if unreached.any():
+        _, labels = connected_components(g, directed=False)
+        if (unreached & (labels[:, None] == labels)).any():
+            raise DomainError("a geodesic distance overflows the float range")
         if not net.longest_path_convention:
             raise DisconnectedError("graph is not connected")
-        finite = d[np.isfinite(d)]
-        d[np.isinf(d)] = finite.max() if finite.size else 0.0
+        d[unreached] = d[~unreached].max()
     d.flags.writeable = False
-    if n < 2:
+    if net.n < 2:
         return DistanceMatrix(net.ids, d, 0.0, None)
-    iu = np.triu_indices(n, k=1)
+    iu = np.triu_indices(net.n, k=1)
     flat = d[iu]
     k = int(np.argmax(flat))
     pair = (net.ids[int(iu[0][k])], net.ids[int(iu[1][k])])
@@ -184,10 +183,8 @@ def delete_edge(net: Network, u: str, v: str) -> Network:
     kept = tuple(e for e in net.edges if frozenset(e[:2]) != pair)
     if len(kept) == len(net.edges):
         raise ValidationError(f"no edge ({u!r}, {v!r})")
-    out = replace(net, edges=kept)
-    if not _is_connected(out) and not net.longest_path_convention:
-        raise DisconnectedError(f"deleting edge ({u!r}, {v!r}) disconnects the graph")
-    return out
+    return _require_connected(replace(net, edges=kept),
+                              f"deleting edge ({u!r}, {v!r}) disconnects the graph")
 
 
 def delete_node(net: Network, u: str) -> Network:
@@ -199,10 +196,8 @@ def delete_node(net: Network, u: str) -> Network:
         raise ValidationError("cannot delete the only node")
     masses = tuple(m for i, m in zip(net.ids, net.masses) if i != u)
     edges = tuple(e for e in net.edges if u not in e[:2])
-    out = Network(ids, masses, edges, net.longest_path_convention)
-    if not _is_connected(out) and not net.longest_path_convention:
-        raise DisconnectedError(f"deleting node {u!r} disconnects the graph")
-    return out
+    return _require_connected(Network(ids, masses, edges, net.longest_path_convention),
+                              f"deleting node {u!r} disconnects the graph")
 
 
 def scale_masses(net: Network, lam: float) -> Network:
@@ -230,12 +225,16 @@ def network_from_dict(raw: Mapping, allow_disconnected: bool = False) -> Network
     for rec in _records(raw, "nodes"):
         if not isinstance(rec, Mapping) or set(rec) != {"id", "mass"}:
             raise ValidationError(f"node record must have exactly 'id' and 'mass': {rec!r}")
-        nodes.append((str(rec["id"]), _number(rec, "mass", "mass")))
+        if not isinstance(rec["id"], str):
+            raise ValidationError(f"node id must be a string: {rec!r}")
+        nodes.append((rec["id"], _number(rec, "mass", "mass")))
     edges = []
     for rec in _records(raw, "edges"):
         if not isinstance(rec, Mapping) or set(rec) != {"u", "v", "w"}:
             raise ValidationError(f"edge record must have exactly 'u', 'v' and 'w': {rec!r}")
-        edges.append((str(rec["u"]), str(rec["v"]), _number(rec, "w", "weight")))
+        if not isinstance(rec["u"], str) or not isinstance(rec["v"], str):
+            raise ValidationError(f"edge endpoints must be strings: {rec!r}")
+        edges.append((rec["u"], rec["v"], _number(rec, "w", "weight")))
     return validate_network(nodes, edges, allow_disconnected=allow_disconnected)
 
 

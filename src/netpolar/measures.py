@@ -128,14 +128,12 @@ def _dijkstra(adjacency: dict[int, list[tuple[int, float]]], source: int, n: int
     return dist
 
 
-def polarization_naive_oracle(net: Network, params: MeasureParams | None = None) -> float:
-    """Same quantity as :func:`polarization`, computed independently.
+def oracle_distances(net: Network) -> list[list[float]]:
+    """Geodesic distances from a plain heap-based Dijkstra per source.
 
-    Shortest paths come from a plain heap-based Dijkstra per source and the
-    sum is an explicit double loop.  Kept deliberately separate from the
-    optimized path; intended for tests.
+    Unreached pairs get the largest finite distance, as under the
+    longest-path convention.  Independent of scipy; intended for tests.
     """
-    params = params or MeasureParams()
     n = net.n
     idx = {v: i for i, v in enumerate(net.ids)}
     adjacency: dict[int, list[tuple[int, float]]] = {i: [] for i in range(n)}
@@ -146,6 +144,19 @@ def polarization_naive_oracle(net: Network, params: MeasureParams | None = None)
     if any(x == float("inf") for row in rows for x in row):
         longest = max(x for row in rows for x in row if x != float("inf"))
         rows = [[longest if x == float("inf") else x for x in row] for row in rows]
+    return rows
+
+
+def polarization_naive_oracle(net: Network, params: MeasureParams | None = None) -> float:
+    """Same quantity as :func:`polarization`, computed independently.
+
+    Shortest paths come from :func:`oracle_distances` and the sum is an
+    explicit double loop.  Kept deliberately separate from the optimized
+    path; intended for tests.
+    """
+    params = params or MeasureParams()
+    n = net.n
+    rows = oracle_distances(net)
     total = 0.0
     for i in range(n):
         for j in range(n):

@@ -12,13 +12,14 @@ def random_connected_network(
     n_max: int = 7,
     dyadic: bool = False,
     extra_edge_prob: float = 0.4,
+    n_min: int = 2,
 ) -> Network:
     """A random connected network with occasional zero weights and masses.
 
     ``dyadic`` restricts weights to multiples of 1/8 so that path sums are
     exact in floating point regardless of summation order.
     """
-    n = int(rng.integers(2, n_max + 1))
+    n = int(rng.integers(n_min, n_max + 1))
     ids = [f"n{i}" for i in range(n)]
 
     def weight() -> float:

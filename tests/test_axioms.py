@@ -54,9 +54,10 @@ class TestScenarioValidation:
         with pytest.raises(DomainError, match="A3 needs lateral ratio c_bar > 1"):
             check_axiom3(a3(c_bar=1.0))
 
-    def test_nonpositive_alpha_rejected(self):
-        with pytest.raises(DomainError, match="alpha must be positive"):
-            check_axiom1(a1(alpha=0.0))
+    @pytest.mark.parametrize("alpha", [0.0, np.inf, np.nan])
+    def test_nonpositive_or_nonfinite_alpha_rejected(self, alpha):
+        with pytest.raises(DomainError, match="alpha must be positive and finite"):
+            check_axiom1(a1(alpha=alpha))
 
     def test_kind_mismatch_rejected(self):
         with pytest.raises(DomainError, match="expected kind A1, got 'A2'"):

@@ -3,6 +3,9 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -10,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import netpolar
 from netpolar.cli import main
 
 TWO_POINT = {
@@ -240,6 +244,36 @@ class TestErrorHandling:
         assert main(["compute", "--network", two_point_file, "--alpha", "inf"]) == 1
         assert "error: alpha must be positive and finite" in capsys.readouterr().err
 
+    def test_overflowing_path_is_a_domain_error(self, tmp_path, capsys):
+        path = tmp_path / "far.json"
+        path.write_text(json.dumps({
+            "nodes": [{"id": i, "mass": 1.0} for i in "abc"],
+            "edges": [{"u": "a", "v": "b", "w": 1e308}, {"u": "b", "v": "c", "w": 1e308}],
+        }))
+        assert main(["compute", "--network", str(path)]) == 1
+        assert "error: a geodesic distance overflows" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("alpha", ["inf", "nan"])
+    @pytest.mark.parametrize("argv", [
+        ["axioms", "--suite", "A2", "--seed", "1", "--samples", "50"],
+        ["counterexample"],
+    ], ids=["axioms", "counterexample"])
+    def test_non_finite_alpha_is_a_domain_error(self, argv, alpha, capsys):
+        assert main(argv + ["--alpha", alpha]) == 1
+        assert "error: alpha must be positive and finite" in capsys.readouterr().err
+
+    def test_a1_at_nan_alpha_fails_within_the_timeout(self):
+        # no draw passes the A1 acceptance test at alpha = nan, so a missing
+        # check makes the sampler loop forever; a subprocess bounds that
+        env = {**os.environ, "PYTHONPATH": str(Path(netpolar.__file__).resolve().parents[1])}
+        proc = subprocess.run(
+            [sys.executable, "-m", "netpolar.cli", "axioms", "--suite", "A1", "--seed", "1",
+             "--samples", "10", "--alpha", "nan"],
+            capture_output=True, text=True, timeout=30, env=env,
+        )
+        assert proc.returncode == 1
+        assert "error: alpha must be positive and finite" in proc.stderr
+
     def test_usage_error_exits_two(self):
         with pytest.raises(SystemExit) as exc:
             main(["compute"])
@@ -273,8 +307,9 @@ JSON_VALUES = st.recursive(
 NOT_A_NUMBER = JSON_VALUES.filter(lambda v: isinstance(v, bool) or not isinstance(v, (int, float)))
 BAD_NUMBERS = (st.sampled_from([float("nan"), float("inf"), float("-inf"), 10 ** 400])
                | st.floats(max_value=-1e-9))
+NOT_A_STRING = JSON_VALUES.filter(lambda v: not isinstance(v, str))
 MUTATIONS = ("document", "not-a-list", "missing-key", "extra-key", "wrong-type", "bad-number",
-             "unknown-endpoint", "overflow")
+             "unknown-endpoint", "overflow", "non-string-id")
 
 
 @st.composite
@@ -301,6 +336,8 @@ def malformed_networks(draw):
         rec[number] = draw(NOT_A_NUMBER)
     elif kind == "bad-number":
         rec[number] = draw(BAD_NUMBERS)
+    elif kind == "non-string-id":
+        rec[draw(st.sampled_from(["id"] if "id" in rec else ["u", "v"]))] = draw(NOT_A_STRING)
     elif kind == "unknown-endpoint":
         doc["edges"].append({"u": "n0", "v": "elsewhere", "w": 1.0})
     else:  # masses whose P_alpha overflows the float range

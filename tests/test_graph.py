@@ -15,6 +15,7 @@ from netpolar.graph import (
     scale_masses,
     validate_network,
 )
+from netpolar.measures import oracle_distances
 
 from conftest import brute_force_distances, random_connected_network
 
@@ -133,6 +134,25 @@ class TestGeodesics:
             for k in range(n):
                 assert (d <= d[:, [k]] + d[[k], :] + 1e-12).all()
 
+    def test_sparse_graphs_match_the_heap_dijkstra_oracle(self):
+        # below a quarter density scipy's "auto" picks Dijkstra, which sums
+        # each path from its source; the small graphs above mostly take
+        # Floyd-Warshall
+        rng = np.random.default_rng(40)
+        for dyadic in (False, True):
+            for _ in range(6):
+                net = random_connected_network(rng, n_min=40, n_max=80, dyadic=dyadic,
+                                               extra_edge_prob=0.05)
+                assert 2 * len(net.edges) < net.n ** 2 / 4
+                assert any(w == 0.0 for _, _, w in net.edges)
+                d = geodesic_distances(net).d
+                oracle = np.array(oracle_distances(net))
+                assert (d == d.T).all() and (np.diag(d) == 0.0).all()
+                if dyadic:
+                    assert (d == oracle).all()
+                else:
+                    assert np.abs(d - oracle).max() <= 1e-12
+
     def test_distance_matrix_is_read_only(self):
         dm = geodesic_distances(line(1.0, 1.0))
         with pytest.raises(ValueError):
@@ -141,6 +161,21 @@ class TestGeodesics:
     def test_distance_accessor(self):
         dm = geodesic_distances(line(1.0, 1.0, 1.0, gap=2.0))
         assert dm.distance("n0", "n2") == 4.0
+
+
+class TestOverflow:
+    NODES = [("a", 1.0), ("b", 1.0), ("c", 1.0)]
+    CHAIN = [("a", "b", 1e308), ("b", "c", 1e308)]
+
+    def test_overflowing_path_is_a_domain_error(self):
+        net = validate_network(self.NODES, self.CHAIN)
+        with pytest.raises(DomainError, match="a geodesic distance overflows the float range"):
+            geodesic_distances(net)
+
+    def test_overflow_is_not_disconnection_under_longest_path(self):
+        net = validate_network(self.NODES + [("d", 1.0)], self.CHAIN, allow_disconnected=True)
+        with pytest.raises(DomainError, match="a geodesic distance overflows the float range"):
+            geodesic_distances(net)
 
 
 class TestLongestPathConvention:
@@ -249,6 +284,16 @@ class TestWireFormat:
         doc = {"nodes": [{"id": "a", "mass": 1.0}],
                "edges": [{"u": "a", "v": "zz", "w": 1.0}]}
         with pytest.raises(ValidationError, match="references unknown node"):
+            network_from_dict(doc)
+
+    @pytest.mark.parametrize("doc, message", [
+        ({"nodes": [{"id": ["x"], "mass": 1.0}]}, "node id must be a string"),
+        ({"nodes": [{"id": 1, "mass": 1.0}]}, "node id must be a string"),
+        ({"nodes": [{"id": "1", "mass": 1.0}, {"id": "b", "mass": 1.0}],
+          "edges": [{"u": 1, "v": "b", "w": 1.0}]}, "edge endpoints must be strings"),
+    ], ids=["list-id", "integer-id", "integer-endpoint"])
+    def test_non_string_id_rejected(self, doc, message):
+        with pytest.raises(ValidationError, match=message):
             network_from_dict(doc)
 
     def test_not_an_object(self):
