@@ -117,30 +117,39 @@ def v_eval(alpha: float, c: float) -> tuple[float, float]:
     return max(candidates)
 
 
+def _check_c_tol(c: float, tol: float) -> None:
+    if not 1.0 < c <= 2.0:
+        raise DomainError("c must lie in (1, 2]")
+    if not tol > 0:
+        raise DomainError("tolerance must be positive")
+
+
+def _bisect(below_root, lo: float, hi: float, tol: float, name: str) -> float:
+    """Midpoint of [lo, hi] narrowed to width ``tol`` around one crossing.
+
+    ``below_root(mid)`` says whether the crossing lies above ``mid``.
+    """
+    for _ in range(MAX_BISECTION_ITERATIONS):
+        if hi - lo <= tol:
+            return 0.5 * (lo + hi)
+        mid = 0.5 * (lo + hi)
+        if below_root(mid):
+            lo = mid
+        else:
+            hi = mid
+    raise ConvergenceFailureError(f"{name} bisection did not converge")
+
+
 def alpha_upper(c: float, tol: float = 1e-9) -> float:
     """Largest admissible exponent: the zero of v(., c) on (1, 2].
 
     v is negative at 1 and positive at 2 for every c in (1, 2] and
     increases in alpha on that range, so plain bisection converges.
     """
-    if not 1.0 < c <= 2.0:
-        raise DomainError("c must lie in (1, 2]")
-    if not tol > 0:
-        raise DomainError("tolerance must be positive")
-    lo, hi = 1.0, 2.0
-    if not v_eval(hi, c)[0] > 0:
+    _check_c_tol(c, tol)
+    if not v_eval(2.0, c)[0] > 0:
         raise ConvergenceFailureError("value function not positive at alpha = 2")
-    for _ in range(MAX_BISECTION_ITERATIONS):
-        if hi - lo <= tol:
-            break
-        mid = 0.5 * (lo + hi)
-        if v_eval(mid, c)[0] < 0:
-            lo = mid
-        else:
-            hi = mid
-    else:
-        raise ConvergenceFailureError("alpha_upper bisection did not converge")
-    return 0.5 * (lo + hi)
+    return _bisect(lambda a: v_eval(a, c)[0] < 0, 1.0, 2.0, tol, "alpha_upper")
 
 
 def alpha_lower(c: float, tol: float = 1e-9) -> float | None:
@@ -150,24 +159,11 @@ def alpha_lower(c: float, tol: float = 1e-9) -> float | None:
     boundary below 1 is a single crossing; ``None`` when v < 0 throughout
     [0, 1] (then nothing is excluded from below).
     """
-    if not 1.0 < c <= 2.0:
-        raise DomainError("c must lie in (1, 2]")
-    if not tol > 0:
-        raise DomainError("tolerance must be positive")
+    _check_c_tol(c, tol)
     if not v_eval(0.0, c)[0] >= 0:
         return None
-    lo, hi = 0.0, 1.0  # v(lo) >= 0, v(hi) < 0
-    for _ in range(MAX_BISECTION_ITERATIONS):
-        if hi - lo <= tol:
-            break
-        mid = 0.5 * (lo + hi)
-        if v_eval(mid, c)[0] >= 0:
-            lo = mid
-        else:
-            hi = mid
-    else:
-        raise ConvergenceFailureError("alpha_lower bisection did not converge")
-    return 0.5 * (lo + hi)
+    # v(0) >= 0 and v(1) < 0
+    return _bisect(lambda a: v_eval(a, c)[0] >= 0, 0.0, 1.0, tol, "alpha_lower")
 
 
 def admissible_interval(c: float, tol: float = 1e-9) -> AlphaInterval:

@@ -164,7 +164,7 @@ def check_axiom3(s: AxiomScenario, K: float = 1.0) -> AxiomVerdict:
     before = _p3((s.p, s.q, s.q), dists, s.alpha, K)
     after = _p3((s.p - 2 * delta, s.q + delta, s.q + delta), dists, s.alpha, K)
     margin = after - before
-    fval = float(f_eval(s.q / s.p, s.alpha, min(s.c_bar, 2.0))) if s.c_bar <= 2.0 else None
+    fval = float(f_eval(s.q / s.p, s.alpha, s.c_bar)) if s.c_bar <= 2.0 else None
     return AxiomVerdict(before, after, margin > 0, margin, f_value=fval)
 
 

@@ -87,27 +87,29 @@ def _cmd_distances(args) -> int:
     return 0
 
 
+BUILDERS = {  # kind -> (loader, builder)
+    "line": (builders.load_mass_points_csv, builders.build_line),
+    "complete": (builders.load_mass_points_csv,
+                 lambda p: builders.build_complete_uniform([m for _, m in p.points])),
+    "votes": (builders.load_votes_csv, builders.build_vote_hypercube),
+    "reps": (builders.load_votes_csv, builders.build_representatives),
+    "prefs": (builders.load_preferences_csv, builders.build_preference_kemeny),
+    "lattice": (builders.load_mass_points_csv, builders.build_lattice),
+    "cosponsor": (builders.load_votes_csv, builders.build_cosponsorship),
+    "parties": (builders.load_votes_csv, builders.build_parties),
+}
+# kind -> (dest, flag, choices) of the one keyword option its builder reads;
+# the first choice is the default
+BUILD_OPTIONS = {
+    "lattice": ("norm", "--norm", ("manhattan", "euclidean", "chebyshev")),
+    "parties": ("tie_rule", "--tie-rule", ("strict-majority", "exclude-bill")),
+}
+
+
 def _cmd_build(args) -> int:
-    kind = args.kind
-    if kind == "line":
-        net = builders.build_line(builders.load_mass_points_csv(args.input))
-    elif kind == "complete":
-        points = builders.load_mass_points_csv(args.input)
-        net = builders.build_complete_uniform([m for _, m in points.points])
-    elif kind == "lattice":
-        net = builders.build_lattice(builders.load_mass_points_csv(args.input), norm=args.norm)
-    elif kind == "votes":
-        net = builders.build_vote_hypercube(builders.load_votes_csv(args.input))
-    elif kind == "reps":
-        net = builders.build_representatives(builders.load_votes_csv(args.input))
-    elif kind == "parties":
-        net = builders.build_parties(builders.load_votes_csv(args.input), tie_rule=args.tie_rule)
-    elif kind == "cosponsor":
-        net = builders.build_cosponsorship(builders.load_votes_csv(args.input))
-    elif kind == "prefs":
-        net = builders.build_preference_kemeny(builders.load_preferences_csv(args.input))
-    else:  # pragma: no cover - argparse restricts choices
-        raise ValidationError(f"unknown builder {kind!r}")
+    load, build = BUILDERS[args.kind]
+    dest = BUILD_OPTIONS.get(args.kind, (None,))[0]
+    net = build(load(args.input), **({dest: getattr(args, dest)} if dest else {}))
     print(f"nodes={net.n} edges={len(net.edges)} total_mass={net.total_mass:.12g}")
     _write_report(_json(network_to_dict(net)), args.out)
     return 0
@@ -186,15 +188,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_distances)
 
     p = sub.add_parser("build", help="construct a network from data files")
-    p.add_argument("kind", choices=["line", "complete", "votes", "reps", "prefs",
-                                    "lattice", "cosponsor", "parties"])
-    p.add_argument("--input", required=True, help="CSV input file")
-    p.add_argument("--norm", choices=["manhattan", "euclidean", "chebyshev"],
-                   default="manhattan")
-    p.add_argument("--tie-rule", choices=["strict-majority", "exclude-bill"],
-                   default="strict-majority", dest="tie_rule")
-    p.add_argument("--out", default=None)
-    p.set_defaults(func=_cmd_build)
+    # every build namespace keeps both options, at their defaults unless the kind reads one
+    p.set_defaults(func=_cmd_build, **{dest: ch[0] for dest, _, ch in BUILD_OPTIONS.values()})
+    kinds = p.add_subparsers(dest="kind", required=True)
+    # the kinds that read no option share one parser: each parser costs about
+    # 0.1 ms to build, and cli.main builds them all on every call
+    plain = [kind for kind in BUILDERS if kind not in BUILD_OPTIONS]
+    for names, option in [(plain, None)] + [([kind], opt) for kind, opt in BUILD_OPTIONS.items()]:
+        k = kinds.add_parser(names[0], aliases=names[1:],
+                             prog=f"{p.prog} {{{','.join(names)}}}")
+        k.add_argument("--input", required=True, help="CSV input file")
+        if option:
+            dest, flag, choices = option
+            k.add_argument(flag, choices=choices, default=choices[0], dest=dest)
+        k.add_argument("--out", default=None)
 
     p = sub.add_parser("axioms", help="run a randomized axiom suite")
     p.add_argument("--suite", required=True, choices=["A1", "A2", "A3", "A3c"])

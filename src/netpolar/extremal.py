@@ -14,17 +14,18 @@ from __future__ import annotations
 import itertools
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
 from .errors import DomainError
 from .graph import DistanceMatrix, Network, geodesic_distances, validate_network
-from .measures import MeasureParams, bipolar_maximum_value, polarization
+from .measures import bipolar_value, p_alpha, polarization
 
 PAIR_TOLERANCE = 1e-12
 MAX_GRID_NODES = 6
 MAX_GRID_POINTS = 5_000_000
+GRID_BLOCK_ROWS = 65_536
 
 
 @dataclass(frozen=True)
@@ -39,20 +40,7 @@ class ExtremalReport:
     witness: tuple[float, ...] | None
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "node_count": self.node_count,
-                "alpha": self.alpha,
-                "grid_step": self.grid_step,
-                "bipolar_value": self.bipolar_value,
-                "best_value": self.best_value,
-                "best_distribution": list(self.best_distribution),
-                "is_bipolar_max": self.is_bipolar_max,
-                "witness": None if self.witness is None else list(self.witness),
-            },
-            indent=2,
-            sort_keys=True,
-        )
+        return json.dumps(asdict(self), indent=2, sort_keys=True)
 
 
 def bipolar_distribution(net: Network, dist: DistanceMatrix | None = None) -> Network:
@@ -95,40 +83,43 @@ def merge_reduction(net: Network) -> Network:
 
 
 def simplex_grid(n: int, units: int) -> np.ndarray:
-    """All compositions of ``units`` into ``n`` parts, scaled to sum to 1."""
-    combos = itertools.combinations(range(units + n - 1), n - 1)
-    rows = np.fromiter(
-        (x for combo in combos for x in _composition(combo, units, n)),
-        dtype=float,
-    ).reshape(-1, n)
-    return rows / units
+    """All compositions of ``units`` into ``n`` parts, scaled to sum to 1.
 
-
-def _composition(dividers: tuple[int, ...], units: int, n: int):
-    prev = -1
-    for d in dividers:
-        yield d - prev - 1
-        prev = d
-    yield units + n - 1 - prev - 1
-
-
-def grid_values(grid: np.ndarray, d: np.ndarray, alpha: float, K: float = 1.0) -> np.ndarray:
-    """P_alpha of every grid row on the distance matrix ``d``, vectorized.
-
-    Row a is sum_i g_ai^(1+alpha) sum_j d_ij g_aj, evaluated in O(N n) memory.
+    Rows come in lexicographic order, the order of
+    ``itertools.combinations(range(units + n - 1), n - 1)`` read as
+    divider positions; the grid searches break ties by this order.
     """
-    return K * ((grid ** (1.0 + alpha)) @ d * grid).sum(axis=1)
+    parts = np.zeros((1, 0), dtype=np.int32)
+    rest = np.array([units], dtype=np.int32)
+    for _ in range(n - 1):
+        # each row with r units left becomes r + 1 rows, its next part 0..r
+        counts = rest + 1
+        starts = np.cumsum(counts) - counts
+        part = (np.arange(counts.sum(), dtype=np.int32)
+                - np.repeat(starts, counts).astype(np.int32))
+        parts = np.column_stack([np.repeat(parts, counts, axis=0), part])
+        rest = np.repeat(rest, counts) - part
+    grid = np.empty((len(rest), n))
+    grid[:, :-1] = parts
+    grid[:, -1] = rest
+    grid /= units
+    return grid
 
 
-def _bipolar_equivalent_mask(grid: np.ndarray, d: np.ndarray, diameter: float) -> np.ndarray:
-    """Rows that split the mass half-half across some diameter pair."""
-    n = grid.shape[1]
-    mask = np.zeros(len(grid), dtype=bool)
-    for i, j in itertools.combinations(range(n), 2):
+def _evaluate_grid(grid: np.ndarray, d: np.ndarray, alpha: float) -> tuple[np.ndarray, float]:
+    """P_alpha (K = 1) of every grid row on ``d``, and the bipolar value at unit mass.
+
+    Rows that split the mass half-half across a diameter pair count as bipolar
+    and read -inf.  Rows are evaluated in blocks of at least GRID_BLOCK_ROWS,
+    which bounds the temporaries and gives the same bits as one call.
+    """
+    diameter = float(d.max())
+    blocks = np.array_split(grid, max(1, len(grid) // GRID_BLOCK_ROWS))
+    values = np.concatenate([p_alpha(block, d, alpha, 1.0) for block in blocks])
+    for i, j in itertools.combinations(range(grid.shape[1]), 2):
         if abs(d[i, j] - diameter) <= PAIR_TOLERANCE * max(diameter, 1.0):
-            on_pair = (np.abs(grid[:, i] - 0.5) < 1e-15) & (np.abs(grid[:, j] - 0.5) < 1e-15)
-            mask |= on_pair
-    return mask
+            values[(grid[:, i] == 0.5) & (grid[:, j] == 0.5)] = -np.inf
+    return values, bipolar_value(diameter, 1.0, alpha, 1.0)
 
 
 def verify_bipolar_max(
@@ -147,31 +138,25 @@ def verify_bipolar_max(
         raise DomainError(f"{net.n} nodes exceed the exhaustive-mode limit {MAX_GRID_NODES}")
     if net.n < 2:
         raise DomainError("need at least two nodes")
+    if not 0 < alpha < np.inf:
+        raise DomainError(f"alpha must be positive and finite, got {alpha}")
     units = round(1.0 / grid_step)
     if units < 1 or abs(units * grid_step - 1.0) > 1e-9:
         raise DomainError(f"grid step {grid_step} must evenly divide 1")
     if math.comb(units + net.n - 1, net.n - 1) > MAX_GRID_POINTS:
         raise DomainError(f"grid step {grid_step} creates too many points")
 
-    dist = geodesic_distances(net)
-    params = MeasureParams(1.0, alpha)
-    # total mass normalized to 1: bipolar reference is d(g) * 2 * (1/2)^(2+alpha)
-    unit_mass = replace(net, masses=(1.0,) + (0.0,) * (net.n - 1))
-    bipolar_value = bipolar_maximum_value(unit_mass, params, dist)
-
     grid = simplex_grid(net.n, units)
-    values = grid_values(grid, dist.d, alpha)
-    excluded = _bipolar_equivalent_mask(grid, dist.d, dist.diameter)
-    values = np.where(excluded, -np.inf, values)
+    values, bipolar = _evaluate_grid(grid, geodesic_distances(net).d, alpha)
     best = int(np.argmax(values))
     best_value = float(values[best])
-    is_max = best_value < bipolar_value
+    is_max = best_value < bipolar
     witness = None if is_max else tuple(grid[best])
     return ExtremalReport(
         node_count=net.n,
         alpha=alpha,
         grid_step=grid_step,
-        bipolar_value=bipolar_value,
+        bipolar_value=bipolar,
         best_value=best_value,
         best_distribution=tuple(grid[best]),
         is_bipolar_max=is_max,
@@ -207,11 +192,8 @@ def counterexample_search(
         if eps > b:
             continue  # would break the triangle inequality
         d = np.array([[0.0, b, b], [b, 0.0, b + eps], [b, b + eps, 0.0]])
-        diameter = b + eps
-        bipolar_value = 2.0 * 0.5 ** (2.0 + alpha) * diameter
-        values = grid_values(grid, d, alpha)
-        excluded = _bipolar_equivalent_mask(grid, d, diameter)
-        beating = np.where(~excluded & (values > bipolar_value))[0]
+        values, bipolar = _evaluate_grid(grid, d, alpha)
+        beating = np.flatnonzero(values > bipolar)
         if beating.size:
             k = int(beating[0])
             return {
@@ -220,7 +202,7 @@ def counterexample_search(
                 "alpha": alpha,
                 "masses": [float(x) for x in grid[k]],
                 "value": float(values[k]),
-                "bipolar_value": bipolar_value,
+                "bipolar_value": bipolar,
             }
     return None
 
@@ -236,9 +218,8 @@ def diameter_dominance_check(g1: Network, g2: Network) -> bool:
     d2 = geodesic_distances(g2)
     if d1.diameter == d2.diameter:
         return True
-    params = MeasureParams()
-    p1 = polarization(bipolar_distribution(g1, d1), params, d1).value
-    p2 = polarization(bipolar_distribution(g2, d2), params, d2).value
+    p1 = polarization(bipolar_distribution(g1, d1), dist=d1).value
+    p2 = polarization(bipolar_distribution(g2, d2), dist=d2).value
     if d1.diameter > d2.diameter:
         return p1 > p2
     return p2 > p1

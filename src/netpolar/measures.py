@@ -48,6 +48,20 @@ class MeasureResult:
         }
 
 
+def p_alpha(masses: np.ndarray, d: np.ndarray, alpha: float, K: float) -> np.ndarray:
+    """P_alpha of an (n,) mass vector ``m``, or of each row of an (N, n) batch, on ``d``.
+
+    K * sum_i m_i^(1+alpha) sum_j d_ij m_j in O(N n) memory.  A one-row batch
+    takes BLAS's vector path and can differ from larger batches in the last bit.
+    """
+    return K * ((masses ** (1.0 + alpha)) @ d * masses).sum(axis=-1)
+
+
+def bipolar_value(diameter: float, total_mass: float, alpha: float, K: float) -> float:
+    """P_alpha of the bipolar split, K * diameter * 2 * (M/2)^(2+alpha), M the total mass."""
+    return K * diameter * 2.0 * (total_mass / 2.0) ** (2.0 + alpha)
+
+
 def polarization(
     net: Network,
     params: MeasureParams | None = None,
@@ -67,7 +81,7 @@ def polarization(
         raise DomainError("distance matrix does not match the network")
     m = net.mass_vector()
     with np.errstate(over="ignore", invalid="ignore"):  # reported just below
-        value = params.K * float(m ** (1.0 + params.alpha) @ dist.d @ m)
+        value = float(p_alpha(m, dist.d, params.alpha, params.K))
     if not np.isfinite(value):
         raise DomainError(f"P_alpha evaluates to {value}: the sum overflows the float range")
     return MeasureResult(value, params, int(np.count_nonzero(m > 0)))
@@ -77,13 +91,12 @@ def bipolar_maximum_value(net: Network, params: MeasureParams | None = None,
                           dist: DistanceMatrix | None = None) -> float:
     """P_alpha of the symmetric bipolar distribution on the same graph.
 
-    Equals K * d(g) * 2 * (M/2)^(2+alpha) with M the total mass.
+    See :func:`bipolar_value`.
     """
     params = params or MeasureParams()
     if dist is None:
         dist = geodesic_distances(net)
-    half = net.total_mass / 2.0
-    return params.K * dist.diameter * 2.0 * half ** (2.0 + params.alpha)
+    return bipolar_value(dist.diameter, net.total_mass, params.alpha, params.K)
 
 
 def normalized_polarization(

@@ -131,6 +131,34 @@ class TestBuild:
                      "--norm", "euclidean"]) == 0
         assert "nodes=2" in capsys.readouterr().out
 
+    def test_parties_tie_rule_flag(self, tmp_path):
+        # party p ties on bills 1 and 3 and agrees with q on bill 2 only
+        src = tmp_path / "votes.csv"
+        src.write_text("voter,party,bill_1,bill_2,bill_3\na,p,0,1,1\nb,p,1,1,0\nc,q,0,1,0\n")
+        weights = {}
+        for rule in ("strict-majority", "exclude-bill"):
+            out = tmp_path / f"{rule}.json"
+            assert main(["build", "parties", "--input", str(src), "--tie-rule", rule,
+                         "--out", str(out)]) == 0
+            weights[rule] = json.loads(out.read_text())["edges"][0]["w"]
+        assert weights == {"strict-majority": pytest.approx(2.0 / 3.0), "exclude-bill": 0.0}
+
+    @pytest.mark.parametrize("kind, flags", [
+        ("votes", ["--tie-rule", "exclude-bill", "--norm", "chebyshev"]),
+        ("votes", ["--norm", "chebyshev"]),
+        ("line", ["--tie-rule", "exclude-bill"]),
+        ("lattice", ["--tie-rule", "exclude-bill"]),
+        ("parties", ["--norm", "euclidean"]),
+        ("prefs", ["--norm", "manhattan"]),
+    ])
+    def test_option_the_builder_ignores_exits_two(self, kind, flags, tmp_path, capsys):
+        src = tmp_path / "in.csv"
+        src.write_text("voter,bill_1\na,0\n")
+        with pytest.raises(SystemExit) as exc:
+            main(["build", kind, "--input", str(src)] + flags)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
 
 class TestAxioms:
     def test_suite_runs_and_reports(self, tmp_path, capsys):

@@ -8,16 +8,17 @@ import pytest
 
 from netpolar.errors import DomainError
 from netpolar.extremal import (
+    GRID_BLOCK_ROWS,
+    _evaluate_grid,
     bipolar_distribution,
     counterexample_search,
     diameter_dominance_check,
-    grid_values,
     merge_reduction,
     simplex_grid,
     verify_bipolar_max,
 )
 from netpolar.graph import geodesic_distances, validate_network
-from netpolar.measures import MeasureParams, polarization
+from netpolar.measures import MeasureParams, p_alpha, polarization
 
 from conftest import random_connected_network
 
@@ -124,19 +125,36 @@ class TestSimplexGrid:
             (0.0, 1.0), (0.5, 0.5), (1.0, 0.0),
         ]
 
-    def test_grid_values_match_direct_evaluation(self):
-        rng = np.random.default_rng(8)
-        net = random_connected_network(rng, n_max=4)
-        d = geodesic_distances(net).d
-        grid = simplex_grid(net.n, 3)
-        for alpha in (0.5, 1.0, 2.0):
-            vals = grid_values(grid, d, alpha)
-            for row, got in zip(grid, vals):
-                direct = sum(
-                    row[i] ** (1 + alpha) * row[j] * d[i, j]
-                    for i in range(net.n) for j in range(net.n)
-                )
-                assert got == pytest.approx(direct, rel=1e-12, abs=1e-15)
+    @pytest.mark.parametrize("n, units", [
+        (1, 5), (2, 7), (2, 300), (3, 64), (3, 1000), (4, 12), (5, 40), (6, 30),
+    ])
+    def test_rows_in_divider_order(self, n, units):
+        # row order sets the tie-break of every argmax over the grid
+        rows = []
+        for dividers in itertools.combinations(range(units + n - 1), n - 1):
+            edges = (-1,) + dividers + (units + n - 1,)
+            rows.append([b - a - 1 for a, b in zip(edges, edges[1:])])
+        expected = np.array(rows, dtype=float) / units
+        assert np.array_equal(simplex_grid(n, units), expected)
+
+
+class TestEvaluateGrid:
+    def test_blocks_give_the_bits_of_one_call(self):
+        rng = np.random.default_rng(12)
+        grid = simplex_grid(5, 40)
+        assert len(grid) > 2 * GRID_BLOCK_ROWS
+        for _ in range(3):
+            a = rng.uniform(0.5, 2.0, (5, 5))
+            d = np.triu(a, 1) + np.triu(a, 1).T
+            for alpha in (0.5, 1.0, 1.5):
+                got, bipolar = _evaluate_grid(grid, d, alpha)
+                assert bipolar == 2.0 * 0.5 ** (2.0 + alpha) * d.max()
+                whole = p_alpha(grid, d, alpha, 1.0)
+                kept = np.isfinite(got)
+                assert np.array_equal(got[kept], whole[kept])
+                # only half-half splits of the unique diameter pair are dropped
+                i, j = np.unravel_index(np.argmax(d), d.shape)
+                assert np.array_equal(~kept, (grid[:, i] == 0.5) & (grid[:, j] == 0.5))
 
 
 class TestVerifyBipolarMax:
@@ -175,6 +193,17 @@ class TestVerifyBipolarMax:
         report = verify_bipolar_max(unit_complete(3), grid_step=0.25)
         payload = json.loads(report.to_json())
         assert payload["node_count"] == 3 and payload["is_bipolar_max"] is True
+
+    def test_witness_serializes_as_a_list(self):
+        report = verify_bipolar_max(eps_triangle(0.001), alpha=0.5, grid_step=1.0 / 64.0)
+        payload = json.loads(report.to_json())
+        assert payload["witness"] == list(report.witness)
+        assert payload["best_distribution"] == payload["witness"]
+
+    @pytest.mark.parametrize("alpha", [0.0, float("inf"), float("nan")])
+    def test_nonpositive_or_nonfinite_alpha_rejected(self, alpha):
+        with pytest.raises(DomainError, match="alpha must be positive and finite"):
+            verify_bipolar_max(unit_complete(3), alpha=alpha)
 
     def test_node_limit(self):
         with pytest.raises(DomainError, match="7 nodes exceed the exhaustive-mode limit 6"):

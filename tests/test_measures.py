@@ -10,7 +10,9 @@ from netpolar.graph import delete_edge, geodesic_distances, scale_masses, valida
 from netpolar.measures import (
     MeasureParams,
     bipolar_maximum_value,
+    bipolar_value,
     normalized_polarization,
+    p_alpha,
     polarization,
     polarization_naive_oracle,
 )
@@ -159,16 +161,45 @@ class TestBipolarReference:
             net = random_connected_network(rng)
             if net.total_mass <= 0:
                 continue
-            for alpha in (0.5, 1.0, 1.7):
-                params = MeasureParams(alpha=alpha)
+            diameter = geodesic_distances(net).diameter
+            for K, alpha in ((1.0, 0.5), (1.0, 1.0), (1.0, 1.7), (2.5, 0.5), (0.3, 1.7)):
+                params = MeasureParams(K, alpha)
                 direct = polarization(bipolar_distribution(net), params).value
                 assert bipolar_maximum_value(net, params) == pytest.approx(
+                    direct, rel=1e-12, abs=1e-12
+                )
+                assert bipolar_value(diameter, net.total_mass, alpha, K) == pytest.approx(
                     direct, rel=1e-12, abs=1e-12
                 )
 
     def test_two_point_hand_value(self):
         # d * 2 * (M/2)^3 with d = 1, M = 1
         assert bipolar_maximum_value(two_point(0.3, 0.7)) == pytest.approx(0.25, abs=1e-15)
+
+
+class TestPAlpha:
+    def test_batch_matches_direct_evaluation(self):
+        from netpolar.extremal import simplex_grid
+
+        rng = np.random.default_rng(8)
+        net = random_connected_network(rng, n_max=4)
+        d = geodesic_distances(net).d
+        grid = simplex_grid(net.n, 3)
+        for alpha in (0.5, 1.0, 2.0):
+            vals = p_alpha(grid, d, alpha, 2.5)
+            for row, got in zip(grid, vals):
+                direct = sum(
+                    row[i] ** (1 + alpha) * row[j] * d[i, j]
+                    for i in range(net.n) for j in range(net.n)
+                )
+                assert got == pytest.approx(2.5 * direct, rel=1e-12, abs=1e-15)
+
+    def test_single_vector_is_one_value(self):
+        net = complete_unit([2.0, 1.0, 1.0])
+        value = p_alpha(net.mass_vector(), geodesic_distances(net).d, 1.0, 3.0)
+        assert np.ndim(value) == 0
+        # 3 * (4 * 2 + 1 * 3 + 1 * 3)
+        assert value == pytest.approx(42.0, abs=1e-12)
 
 
 class TestNormalized:
