@@ -308,18 +308,33 @@ def build_lattice(points: MassPoints, norm: str = "manhattan") -> Network:
     dist = _NORMS[norm]
     nodes = [(_point_id(pos), mass) for pos, mass in points.points]
     edges = []
-    for (pa, _), (pb, _) in itertools.combinations(points.points, 2):
-        delta = np.asarray(pa, dtype=float) - np.asarray(pb, dtype=float)
-        edges.append((_point_id(pa), _point_id(pb), dist(delta)))
+    with np.errstate(over="ignore"):  # an infinite weight is reported by validation
+        for (pa, _), (pb, _) in itertools.combinations(points.points, 2):
+            delta = np.asarray(pa, dtype=float) - np.asarray(pb, dtype=float)
+            edges.append((_point_id(pa), _point_id(pb), dist(delta)))
     return validate_network(nodes, edges)
 
 
 # -- CSV ingestion -----------------------------------------------------------
 
+def _read_csv(path: str | Path) -> list[list[str]]:
+    """All rows of a UTF-8 CSV file.
+
+    A file that cannot be opened, decoded or split into fields is a
+    :class:`ValidationError`.
+    """
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            return list(csv.reader(fh))
+    except OSError as exc:
+        raise ValidationError(f"{path}: {exc.strerror or exc}") from exc
+    except (ValueError, csv.Error) as exc:  # bad UTF-8, a NUL in the path, over-long fields
+        raise ValidationError(f"{path}: invalid CSV: {exc}") from exc
+
+
 def load_votes_csv(path: str | Path) -> VoteMatrix:
     """Read ``voter,party,bill_1..bill_k`` (party column optional)."""
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
+    rows = _read_csv(path)
     if not rows:
         raise ValidationError(f"{path}: empty vote file")
     header = [h.strip() for h in rows[0]]
@@ -348,8 +363,7 @@ def load_votes_csv(path: str | Path) -> VoteMatrix:
 
 def load_preferences_csv(path: str | Path) -> PreferenceProfile:
     """Read ``ranking,count`` with rankings written like ``c>b>a``."""
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
+    rows = _read_csv(path)
     if not rows or [h.strip() for h in rows[0]] != ["ranking", "count"]:
         raise ValidationError(f"{path}: header must be 'ranking,count'")
     ballots = []
@@ -374,8 +388,7 @@ def load_preferences_csv(path: str | Path) -> PreferenceProfile:
 
 def load_mass_points_csv(path: str | Path) -> MassPoints:
     """Read ``x_1,...,x_m,mass`` rows (no header required)."""
-    with open(path, newline="") as fh:
-        rows = [row for row in csv.reader(fh) if row]
+    rows = [row for row in _read_csv(path) if row]
     if rows and any(not _is_number(x) for x in rows[0]):
         rows = rows[1:]  # tolerate a header line
     points = []

@@ -10,7 +10,6 @@ Exit codes: 0 success, 1 domain error, 2 usage error.
 from __future__ import annotations
 
 import argparse
-import io
 import json
 import sys
 from pathlib import Path
@@ -69,21 +68,25 @@ def _cmd_distances(args) -> int:
     net = parse_network_file(args.network, args.allow_disconnected_longest_path)
     dist = geodesic_distances(net)
     print(f"diameter={dist.diameter:.12g} pair={dist.diameter_pair}")
+    rows = dist.d.tolist()
     if args.format == "csv":
-        buf = io.StringIO()
-        buf.write("," + ",".join(dist.ids) + "\n")
-        for i, row in zip(dist.ids, dist.d):
-            buf.write(i + "," + ",".join(f"{x:.12g}" for x in row) + "\n")
-        _write_report(buf.getvalue(), args.out)
+        lines = ["," + ",".join(dist.ids)]
+        lines += [i + "," + ",".join(map("{:.12g}".format, row)) for i, row in zip(dist.ids, rows)]
+        _write_report("\n".join(lines) + "\n", args.out)
     else:
         payload = {
             "config": _config_echo(args),
             "order": list(dist.ids),
-            "d": [[float(x) for x in row] for row in dist.d],
+            "d": 0,  # placeholder for the matrix, rendered below
             "diameter": dist.diameter,
             "diameter_pair": list(dist.diameter_pair) if dist.diameter_pair else None,
         }
-        _write_report(_json(payload), args.out)
+        # json.dumps(indent=2) of the matrix, written out: the distances are
+        # finite, so each one renders as float.__repr__, as json does
+        matrix = ",\n".join("    [\n      " + ",\n      ".join(map(float.__repr__, row))
+                            + "\n    ]" for row in rows)
+        text = _json(payload).replace('\n  "d": 0,\n', '\n  "d": [\n' + matrix + "\n  ],\n", 1)
+        _write_report(text, args.out)
     return 0
 
 

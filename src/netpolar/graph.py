@@ -7,11 +7,22 @@ distinct from the absence of an edge.  Distances and connectivity come from
 ``scipy.sparse.csgraph``, which picks Floyd-Warshall or Dijkstra by density,
 on a sparse matrix built from coordinate triples: that keeps weight-0 edges,
 which csgraph drops from a dense matrix.
+
+Validation works by columns.  Edge endpoints become integer indices with one
+dict lookup each; self-loops, weights and duplicates are then checked as
+array operations, and the first offending record is reported with the
+message a record-at-a-time check would give.  The network keeps the sparse
+matrix built from those arrays, so the connectivity check and every
+distance computation share one matrix; a network made by ``replace`` or the
+constructor builds its own from ``edges``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property
+from itertools import repeat
+from operator import itemgetter
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -49,6 +60,20 @@ class Network:
     def mass_vector(self) -> np.ndarray:
         return np.asarray(self.masses, dtype=float)
 
+    @cached_property
+    def _csgraph(self) -> csr_matrix:
+        """The graph as a symmetric sparse matrix.
+
+        Validation fills this in; a network built by ``replace`` or the
+        constructor starts without it and builds it from ``edges``.
+        """
+        index = {v: i for i, v in enumerate(self.ids)}
+        m = len(self.edges)
+        u = np.fromiter((index[a] for a, _, _ in self.edges), np.intp, m)
+        v = np.fromiter((index[b] for _, b, _ in self.edges), np.intp, m)
+        w = np.fromiter((x for _, _, x in self.edges), float, m)
+        return _symmetric_csr(u, v, w, self.n)
+
     def has_edge(self, u: str, v: str) -> bool:
         pair = frozenset((u, v))
         return any(frozenset((a, b)) == pair for a, b, _ in self.edges)
@@ -80,6 +105,12 @@ def validate_network(
     ``allow_disconnected`` opts into the longest-path convention for
     cross-component distances.
     """
+    ids, masses = _checked_nodes(nodes)
+    return _with_edges(ids, masses, *_edge_columns(edges), allow_disconnected)
+
+
+def _checked_nodes(nodes: Iterable) -> tuple[tuple[str, ...], tuple[float, ...]]:
+    """Node ids and masses, coerced to ``str`` and ``float`` and checked."""
     nodes = list(nodes)
     if not nodes:
         raise ValidationError("network needs at least one node")
@@ -87,47 +118,83 @@ def validate_network(
     if len(set(ids)) != len(ids):
         raise ValidationError("node ids must be unique")
     masses = tuple(float(m) for _, m in nodes)
-    for i, m in zip(ids, masses):
-        if m < 0 or not np.isfinite(m):
-            raise ValidationError(f"node {i!r} has invalid mass {m}")
+    m = np.array(masses)
+    bad = (m < 0) | ~np.isfinite(m)
+    if bad.any():
+        k = int(bad.argmax())
+        raise ValidationError(f"node {ids[k]!r} has invalid mass {masses[k]}")
+    return ids, masses
 
-    known = set(ids)
-    seen: set[frozenset[str]] = set()
-    clean: list[Edge] = []
-    for u, v, w in edges:
-        u, v, w = str(u), str(v), float(w)
-        if u not in known or v not in known:
+
+def _edge_columns(edges: Iterable) -> tuple[list[str], list[str], list[float], Exception | None]:
+    """Edge records as ``str``, ``str`` and ``float`` columns.
+
+    If a record cannot be unpacked or converted, the columns end before it
+    and its exception comes last, to be raised unless an earlier record is
+    invalid.
+    """
+    us, vs, ws = [], [], []
+    for rec in edges:
+        try:
+            u, v, w = rec
+            u, v, w = str(u), str(v), float(w)
+        except (TypeError, ValueError, OverflowError) as exc:  # raised if earlier records pass
+            return us, vs, ws, exc
+        us.append(u)
+        vs.append(v)
+        ws.append(w)
+    return us, vs, ws, None
+
+
+def _with_edges(ids: tuple[str, ...], masses: tuple[float, ...], us: list[str],
+                vs: list[str], ws: list[float], failure: Exception | None,
+                allow_disconnected: bool) -> Network:
+    """The network on validated nodes, after the edge checks, column by column.
+
+    The first edge in record order with a fault is reported, with the
+    faults ranked: unknown node, self-loop, weight, duplicate.  ``failure``
+    is raised if the edges before it are all valid.
+    """
+    n = len(ids)
+    index = {v: i for i, v in enumerate(ids)}
+    iu = np.fromiter(map(index.get, us, repeat(-1)), np.intp, len(us))
+    iv = np.fromiter(map(index.get, vs, repeat(-1)), np.intp, len(vs))
+    w = np.array(ws, dtype=float)
+    lo, hi = np.minimum(iu, iv), np.maximum(iu, iv)
+    unknown = lo < 0
+    loop = iu == iv
+    weight = (w < 0) | ~np.isfinite(w)
+    duplicate = np.ones(len(w), dtype=bool)
+    duplicate[np.unique(lo * n + hi, return_index=True)[1]] = False
+    fault = unknown | loop | weight | duplicate
+    if fault.any():
+        k = int(fault.argmax())
+        u, v = us[k], vs[k]
+        if unknown[k]:
             raise ValidationError(f"edge ({u!r}, {v!r}) references unknown node")
-        if u == v:
+        if loop[k]:
             raise ValidationError(f"self-loop at {u!r}")
-        if w < 0 or not np.isfinite(w):
-            raise ValidationError(f"edge ({u!r}, {v!r}) has invalid weight {w}")
-        key = frozenset((u, v))
-        if key in seen:
-            raise ValidationError(f"duplicate edge ({u!r}, {v!r})")
-        seen.add(key)
-        clean.append((u, v, w))
-
-    net = Network(ids, masses, tuple(clean), longest_path_convention=allow_disconnected)
+        if weight[k]:
+            raise ValidationError(f"edge ({u!r}, {v!r}) has invalid weight {ws[k]}")
+        raise ValidationError(f"duplicate edge ({u!r}, {v!r})")
+    if failure is not None:
+        raise failure
+    net = Network(ids, masses, tuple(zip(us, vs, ws)), longest_path_convention=allow_disconnected)
+    net.__dict__["_csgraph"] = _symmetric_csr(iu, iv, w, n)
     return _require_connected(net, "graph is not connected")
 
 
-def _csgraph(net: Network) -> csr_matrix:
+def _symmetric_csr(u: np.ndarray, v: np.ndarray, w: np.ndarray, n: int) -> csr_matrix:
     """Edge weights in both directions; validation rules out duplicate edges."""
-    # arrays, not lists: scipy converts Python lists about three times slower
-    idx = {v: i for i, v in enumerate(net.ids)}
-    u = np.array([idx[a] for a, _, _ in net.edges], dtype=np.intp)
-    v = np.array([idx[b] for _, b, _ in net.edges], dtype=np.intp)
-    w = np.array([x for _, _, x in net.edges], dtype=float)
     ends = (np.concatenate((u, v)), np.concatenate((v, u)))
-    return csr_matrix((np.concatenate((w, w)), ends), shape=(net.n, net.n))
+    return csr_matrix((np.concatenate((w, w)), ends), shape=(n, n))
 
 
 def _require_connected(net: Network, message: str) -> Network:
     """``net``, unless it is disconnected outside the longest-path convention."""
     if net.longest_path_convention:
         return net
-    if connected_components(_csgraph(net), directed=False, return_labels=False) > 1:
+    if connected_components(net._csgraph, directed=False, return_labels=False) > 1:
         raise DisconnectedError(message)
     return net
 
@@ -141,7 +208,7 @@ def geodesic_distances(net: Network) -> DistanceMatrix:
     geodesic distance in the whole graph.  A path sum beyond the float
     range is a :class:`DomainError`, never a disconnection.
     """
-    g = _csgraph(net)
+    g = net._csgraph
     d = shortest_path(g, directed=False)
     # Dijkstra may sum one path in a different order from each end
     np.minimum(d, d.T, out=d)
@@ -221,28 +288,58 @@ def network_from_dict(raw: Mapping, allow_disconnected: bool = False) -> Network
         raise ValidationError(f"unknown top-level keys: {sorted(extra)}")
     if "nodes" not in raw:
         raise ValidationError("missing 'nodes'")
-    nodes = []
-    for rec in _records(raw, "nodes"):
-        if not isinstance(rec, Mapping) or set(rec) != {"id", "mass"}:
-            raise ValidationError(f"node record must have exactly 'id' and 'mass': {rec!r}")
-        if not isinstance(rec["id"], str):
-            raise ValidationError(f"node id must be a string: {rec!r}")
-        nodes.append((rec["id"], _number(rec, "mass", "mass")))
-    edges = []
-    for rec in _records(raw, "edges"):
-        if not isinstance(rec, Mapping) or set(rec) != {"u", "v", "w"}:
-            raise ValidationError(f"edge record must have exactly 'u', 'v' and 'w': {rec!r}")
-        if not isinstance(rec["u"], str) or not isinstance(rec["v"], str):
-            raise ValidationError(f"edge endpoints must be strings: {rec!r}")
-        edges.append((rec["u"], rec["v"], _number(rec, "w", "weight")))
-    return validate_network(nodes, edges, allow_disconnected=allow_disconnected)
+    ids, masses = _record_columns(raw, "nodes")
+    us, vs, ws = _record_columns(raw, "edges")
+    return _with_edges(*_checked_nodes(zip(ids, masses)), us, vs, ws, None, allow_disconnected)
 
 
-def _records(raw: Mapping, key: str) -> list:
+# record kind -> (fields, number field's name in messages, shape message, string message);
+# the last field is the number
+_RECORDS = {
+    "nodes": (("id", "mass"), "mass", "node record must have exactly 'id' and 'mass'",
+              "node id must be a string"),
+    "edges": (("u", "v", "w"), "weight", "edge record must have exactly 'u', 'v' and 'w'",
+              "edge endpoints must be strings"),
+}
+
+
+def _record_columns(raw: Mapping, key: str) -> list[list]:
+    """The fields of the ``key`` records as columns, the number field as floats."""
     recs = raw.get(key, [])
     if not isinstance(recs, list):
         raise ValidationError(f"'{key}' must be a list, got {type(recs).__name__}")
-    return recs
+    fields, name, shape, strings = _RECORDS[key]
+    cols = _plain_columns(recs, fields)
+    if cols is not None:
+        return cols
+    # one record at a time: accepts any Mapping and reports the first offender
+    cols = [[] for _ in fields]
+    for rec in recs:
+        if not isinstance(rec, Mapping) or set(rec) != set(fields):
+            raise ValidationError(f"{shape}: {rec!r}")
+        if not all(isinstance(rec[f], str) for f in fields[:-1]):
+            raise ValidationError(f"{strings}: {rec!r}")
+        for col, f in zip(cols, fields[:-1]):
+            col.append(rec[f])
+        cols[-1].append(_number(rec, fields[-1], name))
+    return cols
+
+
+def _plain_columns(recs: list, fields: tuple[str, ...]) -> list[list] | None:
+    """Columns of plain dicts with exactly ``fields``, strings then a number.
+
+    The checks run on whole columns; ``None`` if any record fails one.
+    """
+    if not (set(map(type, recs)) <= {dict} and set(map(len, recs)) <= {len(fields)}):
+        return None
+    try:
+        *texts, numbers = [list(map(itemgetter(f), recs)) for f in fields]
+        if (all(set(map(type, col)) <= {str} for col in texts)
+                and set(map(type, numbers)) <= {int, float}):
+            return [*texts, list(map(float, numbers))]
+    except (KeyError, OverflowError):  # a misnamed field, an integer beyond the float range
+        pass
+    return None
 
 
 def _number(rec: Mapping, key: str, name: str) -> float:

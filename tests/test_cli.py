@@ -10,7 +10,7 @@ import tempfile
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import netpolar
@@ -396,3 +396,176 @@ class TestMalformedInputFuzz:
             assert "Traceback" not in err.getvalue() and "error:" in err.getvalue()
             if out.exists():
                 json.loads(out.read_text(encoding="utf-8"), parse_constant=_reject_constant)
+
+
+# -- build inputs -----------------------------------------------------------------
+
+FIELD_TEXT = st.text(st.characters(blacklist_characters=',"\r\n'), max_size=3)
+
+
+def _is_float(s):
+    try:
+        float(s)
+        return True
+    except ValueError:
+        return False
+
+
+def _is_bit(s):
+    try:
+        return int(s) in (0, 1)
+    except ValueError:
+        return False
+
+
+def _vote_table(draw, kind):
+    k, n = draw(st.integers(1, 4)), draw(st.integers(2, 5))
+    with_party = kind == "parties" or draw(st.booleans())
+    parties = ["p0", "p1"] + [draw(st.sampled_from(["p0", "p1", "p2"])) for _ in range(n - 2)]
+    head = ["voter"] + ["party"] * with_party
+    rows = [head + [f"b{j}" for j in range(k)]]
+    rows += [[f"v{i}"] + [parties[i]] * with_party
+             + [draw(st.sampled_from("01")) for _ in range(k)] for i in range(n)]
+    defect = draw(st.sampled_from(
+        ["bad-first-column", "no-bills", "ragged-row", "non-binary", "duplicate-voter",
+         "no-voters", "empty-file"]
+        + {"votes": ["too-many-bills"], "reps": ["disconnected"], "cosponsor": ["disconnected"],
+           "parties": ["one-party", "no-party-column"]}[kind]))
+    first_bill, row = len(head), draw(st.integers(1, n))
+    if defect == "bad-first-column":
+        rows[0][0] = draw(FIELD_TEXT.filter(lambda s: s.strip() != "voter"))
+    elif defect == "no-bills":
+        rows = [r[:first_bill] for r in rows]
+    elif defect == "ragged-row":
+        rows[row] = rows[row][:-1] if draw(st.booleans()) else rows[row] + ["0"]
+    elif defect == "non-binary":
+        rows[row][draw(st.integers(first_bill, first_bill + k - 1))] = draw(
+            FIELD_TEXT.filter(lambda s: not _is_bit(s)))
+    elif defect == "duplicate-voter":
+        rows[row][0] = rows[row % n + 1][0] if n > 1 else rows[row][0]
+    elif defect == "no-voters":
+        rows = rows[:1]
+    elif defect == "empty-file":
+        rows = []
+    elif defect == "too-many-bills":
+        rows = [r + [f"x{j}" if r is rows[0] else "0" for j in range(21)] for r in rows]
+    elif defect == "disconnected":
+        # reps: no agreement on any bill; cosponsor: no bill sponsored
+        for r in rows[1:]:
+            r[first_bill:] = rows[1][first_bill:]
+        flip = {"0": "1", "1": "0"} if kind == "reps" else {"0": "0", "1": "0"}
+        rows[n][first_bill:] = [flip[b] for b in rows[n][first_bill:]]
+    elif defect == "one-party":
+        for r in rows[1:]:
+            r[1] = "p0"
+    else:  # no-party-column
+        rows = [r[:1] + r[2:] for r in rows]
+    return rows
+
+
+def _preference_table(draw, kind):
+    alts = draw(st.lists(st.sampled_from("abcdefgh"), min_size=2, max_size=4, unique=True))
+    ballots = [[">".join(draw(st.permutations(alts))), str(draw(st.integers(1, 9)))]
+               for _ in range(draw(st.integers(1, 4)))]
+    rows = [["ranking", "count"]] + ballots
+    defect = draw(st.sampled_from(["bad-header", "field-count", "bad-count", "not-a-permutation",
+                                   "no-ballots", "too-many-alternatives", "empty-file"]))
+    row = draw(st.integers(1, len(ballots)))
+    if defect == "bad-header":
+        rows[0] = draw(st.lists(FIELD_TEXT, max_size=3).filter(
+            lambda h: [x.strip() for x in h] != ["ranking", "count"]))
+    elif defect == "field-count":
+        rows[row] = rows[row][:1] if draw(st.booleans()) else rows[row] + ["1"]
+    elif defect == "bad-count":
+        rows[row][1] = draw(st.sampled_from(["0", "-1", "-0.5", "nan", "inf", "-inf", "1e400"])
+                            | FIELD_TEXT.filter(lambda s: not _is_float(s)))
+    elif defect == "not-a-permutation":
+        ranking = rows[row][0].split(">")
+        ranking[0] = ranking[-1]
+        rows[row][0] = ">".join(ranking)
+    elif defect == "no-ballots":
+        rows = rows[:1]
+    elif defect == "too-many-alternatives":
+        rows = rows[:1] + [[">".join(draw(st.permutations("abcdefgh"))), "1"]]
+    else:  # empty-file
+        rows = []
+    return rows
+
+
+def _point_table(draw, kind):
+    dim, n = (1 if kind == "line" else draw(st.integers(1, 3))), draw(st.integers(2, 5))
+    coords = draw(st.lists(st.tuples(*[st.integers(-9, 9)] * dim), min_size=n, max_size=n,
+                           unique=True))
+    rows = [[str(x) for x in c] + [str(draw(st.integers(0, 5)))] for c in coords]
+    defect = draw(st.sampled_from(
+        ["non-numeric", "too-few-fields", "duplicate-position", "non-finite-coordinate",
+         "negative-mass", "nan-mass", "mixed-dimensions", "empty-file"]
+        + {"line": ["two-dimensional", "huge-coordinates"], "complete": ["one-point"],
+           "lattice": ["huge-coordinates"]}[kind]))
+    row = draw(st.integers(1, n - 1))  # the first row may be read as a header
+    if defect == "non-numeric":
+        rows[row][draw(st.integers(0, dim))] = draw(FIELD_TEXT.filter(lambda s: not _is_float(s)))
+    elif defect == "too-few-fields":
+        rows[row] = rows[row][:1]
+    elif defect == "duplicate-position":
+        rows[row][:dim] = rows[0][:dim]
+    elif defect == "non-finite-coordinate":
+        rows[row][draw(st.integers(0, dim - 1))] = draw(
+            st.sampled_from(["nan", "inf", "-inf", "1e400"]))
+    elif defect == "negative-mass":
+        rows[row][-1] = "-1"
+    elif defect == "nan-mass":
+        rows[row][-1] = "nan"
+    elif defect == "mixed-dimensions":
+        rows[row] = ["0"] + rows[row]
+    elif defect == "empty-file":
+        rows = []
+    elif defect == "two-dimensional":
+        rows = [["0"] + r for r in rows]
+    elif defect == "huge-coordinates":  # two points whose distance overflows
+        rows = [["-1e308"] + rows[0][1:], ["1e308"] + rows[row][1:]]
+    else:  # one-point
+        rows = rows[:1]
+    if rows and draw(st.booleans()):
+        rows.insert(0, [f"x{j}" for j in range(dim)] + ["mass"])
+    return rows
+
+
+BUILD_TABLES = {"votes": _vote_table, "reps": _vote_table, "cosponsor": _vote_table,
+                "parties": _vote_table, "prefs": _preference_table, "line": _point_table,
+                "complete": _point_table, "lattice": _point_table}
+
+
+@st.composite
+def malformed_build_inputs(draw):
+    """A build kind and a CSV file with one defect that it must reject."""
+    kind = draw(st.sampled_from(sorted(BUILD_TABLES)))
+    data = "".join(",".join(r) + "\r\n" for r in BUILD_TABLES[kind](draw, kind)).encode()
+    if draw(st.integers(0, 5)) == 0:  # never valid UTF-8
+        at = draw(st.integers(0, len(data)))
+        data = data[:at] + draw(st.sampled_from([b"\xff", b"\xfe", b"\xc3("])) + data[at:]
+    return kind, data
+
+
+class TestMalformedBuildInputFuzz:
+    @given(case=malformed_build_inputs())
+    @example(case=("votes", None))  # no such file
+    @example(case=("votes", b"\xff\xfevoter,b1\r\na,1\r\n"))
+    @example(case=("prefs", "ranking,count\r\nb>a,1\r\n".encode("utf-16")))
+    @example(case=("lattice", b"0,0,1\r\n1,\xe9,1\r\n"))
+    @settings(max_examples=250, deadline=None)
+    def test_rejected_with_a_message_and_no_report(self, case):
+        kind, data = case
+        with tempfile.TemporaryDirectory() as tmp:
+            path, out = Path(tmp) / "input.csv", Path(tmp) / "net.json"
+            if data is not None:
+                path.write_bytes(data)
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                try:
+                    code = main(["build", kind, "--input", str(path), "--out", str(out)])
+                except SystemExit as exc:
+                    code = exc.code
+            assert code in (1, 2)
+            assert "Traceback" not in err.getvalue() and "error:" in err.getvalue()
+            assert not out.exists()

@@ -1,0 +1,83 @@
+"""Report bytes pinned by SHA-256.
+
+Each command writes a report from a small fixed input, with relative paths
+so that the configuration echoed in the report is fixed too.  The digests
+were recorded before the column-wise validator and the hand-written
+distance matrix writer went in, so a change to ingest or to a writer that
+alters a single byte fails here.
+"""
+
+import contextlib
+import hashlib
+import io
+import json
+
+from netpolar.cli import main
+
+NETWORK = {
+    "nodes": [{"id": "a", "mass": 1.5}, {"id": "b", "mass": 0.0}, {"id": "c", "mass": 2},
+              {"id": "d", "mass": 0.1}, {"id": "e", "mass": 3.25}, {"id": "f", "mass": 1e-3}],
+    "edges": [{"u": "a", "v": "b", "w": 0.1}, {"u": "c", "v": "b", "w": 0.2},
+              {"u": "c", "v": "d", "w": 0}, {"u": "d", "v": "e", "w": 1.0 / 3.0},
+              {"u": "e", "v": "a", "w": 2.5}, {"u": "f", "v": "e", "w": 7},
+              {"u": "b", "v": "e", "w": 0.7}],
+}
+SPLIT = {  # two components, read under the longest-path convention
+    "nodes": [{"id": "p", "mass": 1.0}, {"id": "q", "mass": 2.0}, {"id": "r", "mass": 0.5}],
+    "edges": [{"u": "p", "v": "q", "w": 1.75}],
+}
+INPUTS = {
+    "net.json": json.dumps(NETWORK),
+    "split.json": json.dumps(SPLIT),
+    "votes.csv": "voter,party,b1,b2,b3,b4\n"
+                 "s1,L,1,1,0,0\ns2,L,1,0,0,0\ns3,R,0,0,1,1\ns4,R,0,1,1,1\ns5,C,1,0,1,0\n",
+    "prefs.csv": "ranking,count\na>b>c>d,3\nb>a>c>d,2\nd>c>b>a,4\nc>d>a>b,1.5\n",
+    "line.csv": "x,mass\n0,1\n2.5,0.5\n1,2\n7,1\n",
+    "plane.csv": "0,0,1\n3,4,2\n-1,2,0.5\n2,-2,1\n",
+}
+RUNS = {
+    "distances-json": ["distances", "--network", "net.json"],
+    "distances-csv": ["distances", "--network", "net.json", "--format", "csv"],
+    "distances-split": ["distances", "--network", "split.json", "--allow-disconnected-longest-path"],
+    "compute-normalize": ["compute", "--network", "net.json", "--normalize"],
+    "compute-alpha": ["compute", "--network", "net.json", "--alpha", "1.3", "--K", "2"],
+    "build-votes": ["build", "votes", "--input", "votes.csv"],
+    "build-reps": ["build", "reps", "--input", "votes.csv"],
+    "build-parties": ["build", "parties", "--input", "votes.csv"],
+    "build-cosponsor": ["build", "cosponsor", "--input", "votes.csv"],
+    "build-prefs": ["build", "prefs", "--input", "prefs.csv"],
+    "build-line": ["build", "line", "--input", "line.csv"],
+    "build-complete": ["build", "complete", "--input", "line.csv"],
+    "build-lattice": ["build", "lattice", "--input", "plane.csv", "--norm", "euclidean"],
+}
+GOLDEN = {
+    "distances-json": "3a8c711b41944de1922fe88e7c690af9489f0cd5554763679308fb27a03e6921",
+    "distances-csv": "f753f34236115dea997eb0815b6e1fa5f3936efb2ce013858561d292f3bbc8ee",
+    "distances-split": "b44fae554e8aa056484b5d9b5352952e3ef3f826c949d9554754c888249ff704",
+    "compute-normalize": "060f216f1806cfe8692439662018fbf8bfcc8d6f9682f374eccfd2702ba64c29",
+    "compute-alpha": "c5fa56620179b591f4f9c9e65021cb608cf874ed774dc84906c458a09f6a8489",
+    "build-votes": "501f146a85e013d7e827be51d95468452e468d5d09d62ac2398d2d496f006d07",
+    "build-reps": "93266e9305443bc9559f75aa63a9b84c4ab92354c6d172a5853f9f4b0c3ad469",
+    "build-parties": "e196ef2f95876a742a1a717705f4b4b717f274d1fb9fdb6f4091e191d5695bae",
+    "build-cosponsor": "810f4d628a8ec0092da597814ba65ced965f3e17a8b51f14d0e912fc606aa84b",
+    "build-prefs": "28a2a2ae31d0f335cf570f738afd64bb509446e8465affc3cf6d179f103bb4be",
+    "build-line": "a17ea5d5a62fc59163ed13515a31edcf051650d32495be2f1687a237d25be87b",
+    "build-complete": "9359036387ffb5f37c80f59fbb930714d379961bb5c76bd576cbebde22d6e571",
+    "build-lattice": "d538d0bc403f53cc32c9ac45b4ce41dfb16fa544d703ef019a850e363436fed0",
+}
+
+
+def report_digests(workdir) -> dict[str, str]:
+    for name, text in INPUTS.items():
+        (workdir / name).write_text(text, encoding="utf-8")
+    digests = {}
+    for name, argv in RUNS.items():
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(argv + ["--out", f"{name}.out"]) == 0
+        digests[name] = hashlib.sha256((workdir / f"{name}.out").read_bytes()).hexdigest()
+    return digests
+
+
+def test_report_bytes_are_pinned(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert report_digests(tmp_path) == GOLDEN
