@@ -15,7 +15,9 @@ from dataclasses import dataclass, asdict
 import numpy as np
 
 from .alpha_bounds import f_eval
-from .errors import DomainError
+from .errors import ConvergenceFailureError, DomainError
+
+MAX_A1_DRAWS = 100_000  # draws per A1 scenario before the sampler gives up
 
 
 @dataclass(frozen=True)
@@ -194,7 +196,7 @@ def _sample_scenario(kind: str, alpha: float, rng: np.random.Generator,
     mlo, mhi = ranges.mass
     dlo, dhi = ranges.dist
     if kind == "A1":
-        while True:
+        for _ in range(MAX_A1_DRAWS):
             p = _log_uniform(rng, mlo, mhi)
             q = p * rng.uniform(0.01, 0.99)
             d1 = _log_uniform(rng, dlo, dhi)
@@ -205,6 +207,9 @@ def _sample_scenario(kind: str, alpha: float, rng: np.random.Generator,
             # keep only draws that satisfy the proof's closed-form inequality
             if (2.0 ** alpha - 1.0) * (d_xy + d_xz) * p > 2.0 * q * d_yz:
                 return AxiomScenario("A1", alpha, p, q, d_xy=d_xy, d_xz=d_xz, d_yz=d_yz)
+        raise ConvergenceFailureError(
+            f"A1 sampler accepted 0 of {MAX_A1_DRAWS} draws at alpha={alpha} "
+            f"(observed acceptance rate 0, below {1 / MAX_A1_DRAWS:g})")
     if kind == "A2":
         p = _log_uniform(rng, mlo, mhi)
         r = p * rng.uniform(0.01, 0.99)

@@ -6,13 +6,21 @@ real-line distributions, unit complete graphs over groups, vote hypercubes,
 representative / party / co-sponsorship networks from roll-call matrices,
 Kemeny preference graphs, and norm-induced complete graphs on attribute
 points.
+
+The vote, preference and attribute builders work on arrays, not pair by
+pair: disagreement and co-sponsorship counts are matrix products of the 0/1
+vote matrix, hypercube and Kemeny neighbours come from integer codes, and
+lattice weights are norms of a block of coordinate differences at a time.
+Edges keep ``itertools.combinations`` order, and every weight has the bits
+a per-pair computation gives: counts are exact in float64, and the
+euclidean norm is one dot product per pair, as ``np.linalg.norm`` computes
+it.
 """
 
 from __future__ import annotations
 
 import csv
 import itertools
-from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
@@ -139,19 +147,15 @@ def build_vote_hypercube(votes: VoteMatrix) -> Network:
     k = votes.k
     if k > MAX_BILLS:
         raise DomainError(f"{k} bills would create 2^{k} nodes")
-    counts = Counter("".join(map(str, row)) for row in votes.entries)
-    nodes = []
-    for code in range(2 ** k):
-        bits = format(code, f"0{k}b")
-        nodes.append((bits, float(counts.get(bits, 0))))
-    edges = []
-    for code in range(2 ** k):
-        bits = format(code, f"0{k}b")
-        for bill in range(k):
-            other = code ^ (1 << (k - 1 - bill))
-            if other > code:
-                edges.append((bits, format(other, f"0{k}b"), 1.0))
-    return validate_network(nodes, edges)
+    flips = 1 << np.arange(k - 1, -1, -1)  # bill j flips bit k-1-j of the code
+    ids = [format(code, f"0{k}b") for code in range(2 ** k)]
+    counts = np.bincount(np.array(votes.entries) @ flips, minlength=2 ** k)
+    # the neighbours of each code in bill order; each edge once, from its lower end
+    code = np.arange(2 ** k)[:, None]
+    other = code ^ flips
+    up = other > code
+    return validate_network(zip(ids, counts.astype(float).tolist()),
+                            _edges(ids, np.nonzero(up)[0], other[up], 1.0))
 
 
 def build_representatives(votes: VoteMatrix) -> Network:
@@ -162,13 +166,12 @@ def build_representatives(votes: VoteMatrix) -> Network:
     identical records end up at distance 0.
     """
     k = votes.k
-    nodes = [(v, 1.0) for v in votes.voters]
-    edges = []
-    for (va, ra), (vb, rb) in itertools.combinations(zip(votes.voters, votes.entries), 2):
-        differing = sum(a != b for a, b in zip(ra, rb))
-        if differing < k:  # at least one agreement
-            edges.append((va, vb, differing / k))
-    return validate_network(nodes, edges)
+    e = np.array(votes.entries, dtype=float)
+    a, b = np.triu_indices(len(e), k=1)  # combinations order
+    differing = (e @ (1 - e).T + (1 - e) @ e.T)[a, b]  # exact integer counts
+    linked = differing < k  # at least one agreement
+    return validate_network([(v, 1.0) for v in votes.voters],
+                            _edges(votes.voters, a[linked], b[linked], differing[linked] / k))
 
 
 def _party_members(votes: VoteMatrix) -> dict[str, list[tuple[int, ...]]]:
@@ -239,13 +242,18 @@ def build_parties(votes: VoteMatrix, tie_rule: str = "strict-majority") -> Netwo
 
 def build_cosponsorship(sponsorships: VoteMatrix) -> Network:
     """Unit-mass voters, unit edge iff two voters co-sponsored some bill."""
-    nodes = [(v, 1.0) for v in sponsorships.voters]
-    edges = []
-    pairs = itertools.combinations(zip(sponsorships.voters, sponsorships.entries), 2)
-    for (va, ra), (vb, rb) in pairs:
-        if any(a and b for a, b in zip(ra, rb)):
-            edges.append((va, vb, 1.0))
-    return validate_network(nodes, edges)
+    e = np.array(sponsorships.entries, dtype=float)
+    a, b = np.triu_indices(len(e), k=1)  # combinations order
+    shared = (e @ e.T)[a, b] > 0
+    return validate_network([(v, 1.0) for v in sponsorships.voters],
+                            _edges(sponsorships.voters, a[shared], b[shared], 1.0))
+
+
+def _edges(ids: Sequence[str], a: np.ndarray, b: np.ndarray, w) -> zip:
+    """Edge triples from index arrays into ``ids``; ``w`` is an array or one weight."""
+    ids = np.array(ids, dtype=object)
+    w = np.broadcast_to(np.asarray(w, dtype=float), a.shape)
+    return zip(ids[a].tolist(), ids[b].tolist(), w.tolist())
 
 
 def ranking_id(ranking: Sequence[str]) -> str:
@@ -278,23 +286,39 @@ def build_preference_kemeny(profile: PreferenceProfile) -> Network:
     for ranking, count in profile.ballots:
         counts[tuple(ranking)] = counts.get(tuple(ranking), 0.0) + count
     perms = list(itertools.permutations(profile.alternatives))
-    nodes = [(ranking_id(p), counts.get(p, 0.0)) for p in perms]
-    edges = []
-    for p in perms:
-        for i in range(m - 1):
-            q = list(p)
-            q[i], q[i + 1] = q[i + 1], q[i]
-            q = tuple(q)
-            if q > p:
-                edges.append((ranking_id(p), ranking_id(q), 1.0))
-    return validate_network(nodes, edges)
+    ids = [ranking_id(p) for p in perms]
+    # the same permutations as places into the alternatives: read as base-m
+    # numbers, their keys ascend in the order of ``perms``
+    pos = np.array(list(itertools.permutations(range(m))))
+    place = m ** np.arange(m - 1, -1, -1)
+    key = pos @ place
+    # swapping places i and i+1 gives a neighbour; each edge once, from the
+    # ranking that compares lower as a tuple
+    rank = np.argsort(np.argsort(np.array(profile.alternatives, dtype=object)))
+    left, right = pos[:, :-1], pos[:, 1:]
+    up = rank[right] > rank[left]
+    swapped = np.searchsorted(key, key[:, None] + (right - left) * (place[:-1] - place[1:]))
+    return validate_network(zip(ids, [counts.get(p, 0.0) for p in perms]),
+                            _edges(ids, np.nonzero(up)[0], swapped[up], 1.0))
 
 
-_NORMS = {
-    "manhattan": lambda v: float(np.abs(v).sum()),
-    "euclidean": lambda v: float(np.linalg.norm(v)),
-    "chebyshev": lambda v: float(np.abs(v).max()),
-}
+def _manhattan(delta: np.ndarray) -> np.ndarray:
+    return np.abs(delta).sum(axis=1)
+
+
+def _euclidean(delta: np.ndarray) -> np.ndarray:
+    # one dot product per row: the arithmetic of np.linalg.norm on each
+    # difference vector, bit for bit; einsum or a row sum of squares can
+    # differ from it in the last bit
+    return np.sqrt((delta[:, None, :] @ delta[:, :, None]).ravel())
+
+
+def _chebyshev(delta: np.ndarray) -> np.ndarray:
+    return np.abs(delta).max(axis=1)
+
+
+_NORMS = {"manhattan": _manhattan, "euclidean": _euclidean, "chebyshev": _chebyshev}
+LATTICE_BLOCK = 1 << 20  # coordinate differences held at once
 
 
 def build_lattice(points: MassPoints, norm: str = "manhattan") -> Network:
@@ -306,13 +330,16 @@ def build_lattice(points: MassPoints, norm: str = "manhattan") -> Network:
     if norm not in _NORMS:
         raise DomainError(f"unknown norm {norm!r}; choose from {sorted(_NORMS)}")
     dist = _NORMS[norm]
-    nodes = [(_point_id(pos), mass) for pos, mass in points.points]
-    edges = []
+    ids = [_point_id(pos) for pos, _ in points.points]
+    xs = np.array([pos for pos, _ in points.points], dtype=float).reshape(len(ids), points.dim)
+    a, b = np.triu_indices(len(ids), k=1)  # combinations order
+    w = np.empty(len(a))
+    step = LATTICE_BLOCK // max(1, points.dim)
     with np.errstate(over="ignore"):  # an infinite weight is reported by validation
-        for (pa, _), (pb, _) in itertools.combinations(points.points, 2):
-            delta = np.asarray(pa, dtype=float) - np.asarray(pb, dtype=float)
-            edges.append((_point_id(pa), _point_id(pb), dist(delta)))
-    return validate_network(nodes, edges)
+        for s in range(0, len(a), step):
+            w[s:s + step] = dist(xs[a[s:s + step]] - xs[b[s:s + step]])
+    return validate_network(zip(ids, [mass for _, mass in points.points]),
+                            _edges(ids, a, b, w))
 
 
 # -- CSV ingestion -----------------------------------------------------------

@@ -12,6 +12,8 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import cache
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 from . import builders
@@ -19,7 +21,7 @@ from .alpha_bounds import admissible_interval
 from .axioms import run_suite
 from .errors import NetpolarError, ValidationError
 from .extremal import counterexample_search, verify_bipolar_max
-from .graph import Network, geodesic_distances, network_from_dict, network_to_dict
+from .graph import Network, geodesic_distances, network_from_dict
 from .measures import MeasureParams, normalized_polarization, polarization
 
 
@@ -109,12 +111,27 @@ BUILD_OPTIONS = {
 }
 
 
+def _network_json(net: Network) -> str:
+    """``_json(network_to_dict(net))``, written out.
+
+    Ids go through the string encoder json uses, and masses and weights are
+    finite after validation, so each renders as float.__repr__, as json does.
+    """
+    ids = dict(zip(net.ids, map(encode_basestring_ascii, net.ids)))
+    edge = '    {\n      "u": %s,\n      "v": %s,\n      "w": %s\n    }'
+    edges = ",\n".join([edge % (ids[u], ids[v], float.__repr__(w)) for u, v, w in net.edges])
+    node = '    {\n      "id": %s,\n      "mass": %s\n    }'
+    nodes = ",\n".join([node % (ids[i], float.__repr__(m)) for i, m in zip(net.ids, net.masses)])
+    return ('{\n  "edges": ' + ("[\n" + edges + "\n  ]" if edges else "[]")
+            + ',\n  "nodes": [\n' + nodes + "\n  ]\n}\n")
+
+
 def _cmd_build(args) -> int:
     load, build = BUILDERS[args.kind]
     dest = BUILD_OPTIONS.get(args.kind, (None,))[0]
     net = build(load(args.input), **({dest: getattr(args, dest)} if dest else {}))
     print(f"nodes={net.n} edges={len(net.edges)} total_mass={net.total_mass:.12g}")
-    _write_report(_json(network_to_dict(net)), args.out)
+    _write_report(_network_json(net), args.out)
     return 0
 
 
@@ -194,8 +211,7 @@ def build_parser() -> argparse.ArgumentParser:
     # every build namespace keeps both options, at their defaults unless the kind reads one
     p.set_defaults(func=_cmd_build, **{dest: ch[0] for dest, _, ch in BUILD_OPTIONS.values()})
     kinds = p.add_subparsers(dest="kind", required=True)
-    # the kinds that read no option share one parser: each parser costs about
-    # 0.1 ms to build, and cli.main builds them all on every call
+    # the kinds that read no option share one parser
     plain = [kind for kind in BUILDERS if kind not in BUILD_OPTIONS]
     for names, option in [(plain, None)] + [([kind], opt) for kind, opt in BUILD_OPTIONS.items()]:
         k = kinds.add_parser(names[0], aliases=names[1:],
@@ -236,9 +252,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built on first use and then reused: parsing leaves it unchanged."""
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except NetpolarError as exc:

@@ -1,8 +1,11 @@
 """Numerical axiom checks on three-point scenarios and randomized suites."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
+import netpolar.axioms
 from netpolar.alpha_bounds import f_eval, lemma1_witness
 from netpolar.axioms import (
     AxiomScenario,
@@ -12,7 +15,7 @@ from netpolar.axioms import (
     check_axiom3,
     run_suite,
 )
-from netpolar.errors import DomainError
+from netpolar.errors import ConvergenceFailureError, DomainError
 
 
 def a1(alpha=1.0, p=2.0, q=0.1, d_xy=4.0, d_xz=6.0, d_yz=1.0):
@@ -225,6 +228,22 @@ class TestSuites:
         report = run_suite("A1", alpha=1.0, count=10, seed=1)
         payload = json.loads(report.to_json())
         assert payload["axiom"] == "A1" and payload["samples"] == 10
+
+    @pytest.mark.parametrize("alpha, count, seed, digest", [
+        (0.05, 50, 3, "09960008c2557c4296f0cc077583b49b01231dd2f6e464ecd8797d6ea87d72b5"),
+        (0.3, 500, 4, "217df1c146cf47f915ac6f63efa0dc160def7da96458d3014cdf60c2a5f9dac7"),
+    ])
+    def test_a1_reports_pinned_before_the_draw_cap(self, alpha, count, seed, digest):
+        # recorded when the A1 sampler had no cap: the cap keeps the draw order
+        text = run_suite("A1", alpha=alpha, count=count, seed=seed).to_json()
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+    def test_a1_sampler_gives_up_after_a_fixed_number_of_draws(self, monkeypatch):
+        monkeypatch.setattr(netpolar.axioms, "MAX_A1_DRAWS", 50)
+        with pytest.raises(ConvergenceFailureError,
+                           match=r"accepted 0 of 50 draws at alpha=1e-09 \(observed acceptance "
+                                 r"rate 0, below 0\.02\)"):
+            run_suite("A1", alpha=1e-9, count=10, seed=1)
 
     def test_unknown_axiom(self):
         with pytest.raises(DomainError, match="unknown axiom 'A7'"):

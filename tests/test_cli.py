@@ -14,7 +14,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import netpolar
-from netpolar.cli import main
+from netpolar.cli import _network_json, _parser, build_parser, main
+from netpolar.graph import network_to_dict, validate_network
 
 TWO_POINT = {
     "nodes": [{"id": "a", "mass": 0.5}, {"id": "b", "mass": 0.5}],
@@ -160,6 +161,67 @@ class TestBuild:
         assert "unrecognized arguments" in capsys.readouterr().err
 
 
+_ids = st.one_of(st.text(max_size=6), st.sampled_from(["\ud800", "a\udfffb", "\x00\x1f\x7f",
+                                                         "\u2028", '"\\', "🙂"]))
+_finite = st.floats(min_value=0.0, allow_nan=False, allow_infinity=False) | st.sampled_from(
+    [-0.0, 5e-324, 1e-300, 1e300, 1.7976931348623157e308, 0.1, 3])
+
+
+@st.composite
+def built_networks(draw):
+    ids = draw(st.lists(_ids, min_size=1, max_size=6, unique=True))
+    pairs = [(a, b) for i, a in enumerate(ids) for b in ids[i + 1:]]
+    chosen = draw(st.lists(st.sampled_from(pairs), unique=True) if pairs else st.just([]))
+    return validate_network([(i, draw(_finite)) for i in ids],
+                            [(a, b, draw(_finite)) for a, b in chosen], allow_disconnected=True)
+
+
+class TestBuildWriter:
+    @settings(max_examples=300, deadline=None)
+    @given(built_networks())
+    def test_same_text_as_json_dumps(self, net):
+        want = json.dumps(network_to_dict(net), indent=2, sort_keys=True) + "\n"
+        assert _network_json(net) == want
+
+
+class TestParserReuse:
+    """``main`` builds its parser once per process; calls must not leak into each other."""
+
+    @staticmethod
+    def fresh(argv):
+        # what a newly built parser does with argv
+        args = build_parser().parse_args(argv)
+        return args.func(args)
+
+    def test_one_parser_per_process(self, capsys):
+        main(["alpha-bounds"])
+        assert _parser() is _parser()
+
+    def test_consecutive_calls_write_what_a_fresh_parser_writes(self, tmp_path, two_point_file,
+                                                                 capsys):
+        src = tmp_path / "votes.csv"
+        src.write_text("voter,party,bill_1,bill_2,bill_3\na,p,0,1,1\nb,p,1,1,0\nc,q,0,1,0\n")
+        out = tmp_path / "report"  # one path, so that the echoed configs can match
+
+        def report(run, argv):
+            assert run(argv + ["--out", str(out)]) == 0
+            return out.read_text()
+
+        build = ["build", "parties", "--input", str(src)]
+        compute = ["compute", "--network", two_point_file]
+        exclude = report(main, build + ["--tie-rule", "exclude-bill"])
+        plain = report(main, build)
+        with pytest.raises(SystemExit) as exc:  # a usage error in between
+            main(build + ["--tie-rule", "exclude-bill", "--norm", "euclidean"])
+        assert exc.value.code == 2
+        plain_after_error = report(main, build)
+        compute_flags = report(main, compute + ["--alpha", "2", "--K", "3"])
+        compute_plain = report(main, compute)
+        assert exclude == report(self.fresh, build + ["--tie-rule", "exclude-bill"]) != plain
+        assert plain == plain_after_error == report(self.fresh, build)
+        assert compute_plain == report(self.fresh, compute) != compute_flags
+
+
 class TestAxioms:
     def test_suite_runs_and_reports(self, tmp_path, capsys):
         out = tmp_path / "suite.json"
@@ -301,6 +363,19 @@ class TestErrorHandling:
         )
         assert proc.returncode == 1
         assert "error: alpha must be positive and finite" in proc.stderr
+
+    def test_a1_at_tiny_alpha_fails_within_the_timeout(self):
+        # almost no draw passes the A1 acceptance test at alpha = 1e-9; the
+        # sampler gives up after a fixed number of draws per scenario
+        env = {**os.environ, "PYTHONPATH": str(Path(netpolar.__file__).resolve().parents[1])}
+        proc = subprocess.run(
+            [sys.executable, "-m", "netpolar.cli", "axioms", "--suite", "A1", "--seed", "1",
+             "--samples", "10", "--alpha", "1e-9"],
+            capture_output=True, text=True, timeout=60, env=env,
+        )
+        assert proc.returncode == 1
+        assert proc.stderr == ("error: A1 sampler accepted 0 of 100000 draws at alpha=1e-09 "
+                               "(observed acceptance rate 0, below 1e-05)\n")
 
     def test_usage_error_exits_two(self):
         with pytest.raises(SystemExit) as exc:

@@ -3,8 +3,10 @@
 Each command writes a report from a small fixed input, with relative paths
 so that the configuration echoed in the report is fixed too.  The digests
 were recorded before the column-wise validator and the hand-written
-distance matrix writer went in, so a change to ingest or to a writer that
-alters a single byte fails here.
+distance matrix writer went in, and the ``build`` runs with escaped ids, a
+one-point line and 3-D lattices before the array-built builders and the
+hand-written ``build`` writer went in, so a change to ingest, a builder or a
+writer that alters a single byte fails here.
 """
 
 import contextlib
@@ -34,6 +36,13 @@ INPUTS = {
     "prefs.csv": "ranking,count\na>b>c>d,3\nb>a>c>d,2\nd>c>b>a,4\nc>d>a>b,1.5\n",
     "line.csv": "x,mass\n0,1\n2.5,0.5\n1,2\n7,1\n",
     "plane.csv": "0,0,1\n3,4,2\n-1,2,0.5\n2,-2,1\n",
+    # ids that JSON must escape: non-ASCII (one outside the BMP), a quote, a backslash
+    "escapes.csv": 'voter,party,b1,b2,b3\n'
+                   '"Zoë ""Q"" Ng",Grün,1,0,1\nback\\slash,Grün,1,0,0\n'
+                   '日本,"Ré""d 🙂",0,0,1\ncafé,"Ré""d 🙂",1,0,1\n"𝄞\\""x","Ré""d 🙂",1,1,1\n',
+    "point.csv": "4.5,2\n",
+    "space.csv": "0.1,0.2,0.3,1\n1.7,-2.3,0.05,2\n3.14159,2.71828,-1.41421,0.5\n"
+                 "-0.333,0.667,9.99,1\n1e-3,7.25,-0.6,0\n",
 }
 RUNS = {
     "distances-json": ["distances", "--network", "net.json"],
@@ -49,6 +58,13 @@ RUNS = {
     "build-line": ["build", "line", "--input", "line.csv"],
     "build-complete": ["build", "complete", "--input", "line.csv"],
     "build-lattice": ["build", "lattice", "--input", "plane.csv", "--norm", "euclidean"],
+    "build-reps-escapes": ["build", "reps", "--input", "escapes.csv"],
+    "build-cosponsor-escapes": ["build", "cosponsor", "--input", "escapes.csv"],
+    "build-parties-escapes": ["build", "parties", "--input", "escapes.csv"],
+    "build-line-one-point": ["build", "line", "--input", "point.csv"],
+    "build-lattice-3d-euclidean": ["build", "lattice", "--input", "space.csv", "--norm", "euclidean"],
+    "build-lattice-3d-manhattan": ["build", "lattice", "--input", "space.csv"],
+    "build-lattice-3d-chebyshev": ["build", "lattice", "--input", "space.csv", "--norm", "chebyshev"],
 }
 GOLDEN = {
     "distances-json": "3a8c711b41944de1922fe88e7c690af9489f0cd5554763679308fb27a03e6921",
@@ -64,6 +80,13 @@ GOLDEN = {
     "build-line": "a17ea5d5a62fc59163ed13515a31edcf051650d32495be2f1687a237d25be87b",
     "build-complete": "9359036387ffb5f37c80f59fbb930714d379961bb5c76bd576cbebde22d6e571",
     "build-lattice": "d538d0bc403f53cc32c9ac45b4ce41dfb16fa544d703ef019a850e363436fed0",
+    "build-reps-escapes": "f11326444c72d0c10e6cbc3542db4defcddd5f78381779750bab687c7c807167",
+    "build-cosponsor-escapes": "486937c342b09c7e656c94f1bb2dfd3b5c2ca199c8b5690cd5e224d64d2fff3a",
+    "build-parties-escapes": "cfee0112124785f8a87ebab6e83a67f18c6d38ff209b655cfd51335a941235f8",
+    "build-line-one-point": "b024ce3f90990e7b13f72bd0e15aba2439bb2e9c9e1f242b6641dafba160ce78",
+    "build-lattice-3d-euclidean": "54ea66ba4751bacddc7dd6faa5797269be210c934cdd267ac65ad9b10fcd23a5",
+    "build-lattice-3d-manhattan": "63b35d8ba78d38cbfc97f42f52263dfd5aebf246572eb118f0ea78d269ee6b59",
+    "build-lattice-3d-chebyshev": "5d1dc7e27c32c6734ae34f3fb6ee70f0bbe6d87f5f2bae42e7b9356d7e4539a3",
 }
 
 
