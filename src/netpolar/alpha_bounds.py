@@ -3,8 +3,8 @@
 f encodes whether moving mass from a middle node to two lateral nodes at
 relative distance c raises polarization: the reallocation raises it locally
 iff f(q/p, alpha, c) < 0.  The value function v(alpha, c) = max_z f and its
-sign changes in alpha deliver the admissible interval
-[alpha_lower(c), alpha_upper(c)] by bisection.
+sign changes in alpha, each found by Brent's method, deliver the
+admissible interval [alpha_lower(c), alpha_upper(c)].
 """
 
 from __future__ import annotations
@@ -12,14 +12,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq, minimize_scalar
+from scipy.optimize import brentq
 
 from .errors import ConvergenceFailureError, DomainError
 
-MAX_BISECTION_ITERATIONS = 200
-SCAN_START = 1e-3
-SCAN_RATIO = 1.05
-SCAN_UNBOUNDED_LIMIT = 1e6
+MAX_ITERATIONS = 200
 
 
 @dataclass(frozen=True)
@@ -65,11 +62,13 @@ def f_eval(z, alpha: float, c: float):
 def v_eval(alpha: float, c: float) -> tuple[float, float]:
     """Maximize f over z >= 0; returns (value, argmax).
 
-    For alpha >= 1, f is concave in z and the unique stationary point of
-    2 - alpha z^(alpha-1) + (2 - (2+alpha)c) z^alpha is bracketed and
-    solved.  For 0 < alpha < 1 a geometric scan locates the maximum, which
-    is then refined locally.  alpha = 0 reduces to a linear function of z:
-    unbounded for c < 2 (reported as +inf), constant -1 at c = 2.
+    The slope of f has the sign of g(z) = 2 - alpha z^(alpha-1) + b z^alpha
+    with b = 2 - (2+alpha)c < 0.  g rises up to z_lo = max(0, (1-alpha)/-b)
+    and falls after it, so f is decreasing (maximum f(0) = -1/2) when
+    g(z_lo) <= 0, and otherwise peaks where g turns negative past z_lo,
+    unless that peak lies below f(0).  A peak beyond every doubling of the
+    bracket is reported as +inf.  alpha = 0 reduces to a linear function of
+    z: unbounded for c < 2 (reported as +inf), constant -1 at c = 2.
     """
     if alpha < 0:
         raise DomainError("alpha must be non-negative")
@@ -79,77 +78,51 @@ def v_eval(alpha: float, c: float) -> tuple[float, float]:
         if c < 2.0:
             return float("inf"), float("inf")
         return -1.0, 0.0
-    if alpha >= 1.0:
-        def stationarity(z):
-            return 2.0 - alpha * z ** (alpha - 1.0) + (2.0 - (2.0 + alpha) * c) * z ** alpha
+    b = 2.0 - (2.0 + alpha) * c
 
-        z_hi = 1.0
-        for _ in range(MAX_BISECTION_ITERATIONS):
-            if stationarity(z_hi) < 0:
-                break
-            z_hi *= 2.0
-        else:
-            raise ConvergenceFailureError("no bracket for the stationarity condition")
-        root = brentq(stationarity, 1e-300, z_hi, xtol=1e-15, rtol=1e-15)
-        return float(f_eval(root, alpha, c)), float(root)
+    def stationarity(z):
+        return 2.0 - alpha * z ** (alpha - 1.0) + b * z ** alpha
 
-    # 0 < alpha < 1: the z^(1+alpha) coefficient is negative for c > 1, so f
-    # eventually decreases; scan geometrically, extending until the tail is
-    # clearly past the maximum.
-    z_top = 10.0
-    while True:
-        count = int(np.ceil(np.log(z_top / SCAN_START) / np.log(SCAN_RATIO))) + 1
-        zs = SCAN_START * SCAN_RATIO ** np.arange(count)
-        vals = f_eval(zs, alpha, c)
-        k = int(np.argmax(vals))
-        tail_done = k < count - 20 and vals[-1] < min(-1.0, vals[k])
-        if tail_done:
+    z_lo = max(0.0, (1.0 - alpha) / -b)
+    if stationarity(z_lo) <= 0:
+        return -0.5, 0.0
+    z_hi = max(1.0, 2.0 * z_lo)
+    for _ in range(MAX_ITERATIONS):
+        if stationarity(z_hi) < 0:
             break
-        if z_top > SCAN_UNBOUNDED_LIMIT:
-            return float("inf"), float("inf")
-        z_top *= 2.0
-    lo = zs[k - 1] if k > 0 else 0.0
-    hi = zs[k + 1]
-    res = minimize_scalar(lambda z: -f_eval(z, alpha, c), bounds=(lo, hi),
-                          method="bounded", options={"xatol": 1e-13})
-    z_star = float(res.x)
-    candidates = [(float(f_eval(z, alpha, c)), z) for z in (z_star, zs[k], 0.0)]
-    return max(candidates)
+        z_hi *= 2.0
+    else:
+        return float("inf"), float("inf")
+    root = brentq(stationarity, z_lo, z_hi, xtol=1e-15, rtol=1e-15)
+    return max((float(f_eval(root, alpha, c)), float(root)), (-0.5, 0.0))
 
 
 def _check_c_tol(c: float, tol: float) -> None:
     if not 1.0 < c <= 2.0:
         raise DomainError("c must lie in (1, 2]")
-    if not tol > 0:
-        raise DomainError("tolerance must be positive")
+    if not 0 < tol < np.inf:
+        raise DomainError("tolerance must be positive and finite")
 
 
-def _bisect(below_root, lo: float, hi: float, tol: float, name: str) -> float:
-    """Midpoint of [lo, hi] narrowed to width ``tol`` around one crossing.
-
-    ``below_root(mid)`` says whether the crossing lies above ``mid``.
-    """
-    for _ in range(MAX_BISECTION_ITERATIONS):
-        if hi - lo <= tol:
-            return 0.5 * (lo + hi)
-        mid = 0.5 * (lo + hi)
-        if below_root(mid):
-            lo = mid
-        else:
-            hi = mid
-    raise ConvergenceFailureError(f"{name} bisection did not converge")
+def _sign_change(c: float, lo: float, hi: float, tol: float, name: str) -> float:
+    """The alpha in [lo, hi] where v(., c) changes sign, to within ``tol``."""
+    root, result = brentq(lambda a: v_eval(a, c)[0], lo, hi, xtol=tol,
+                          maxiter=MAX_ITERATIONS, full_output=True, disp=False)
+    if not result.converged:
+        raise ConvergenceFailureError(f"{name} root search did not converge")
+    return root
 
 
 def alpha_upper(c: float, tol: float = 1e-9) -> float:
     """Largest admissible exponent: the zero of v(., c) on (1, 2].
 
     v is negative at 1 and positive at 2 for every c in (1, 2] and
-    increases in alpha on that range, so plain bisection converges.
+    increases in alpha on that range, so the sign change is unique.
     """
     _check_c_tol(c, tol)
     if not v_eval(2.0, c)[0] > 0:
         raise ConvergenceFailureError("value function not positive at alpha = 2")
-    return _bisect(lambda a: v_eval(a, c)[0] < 0, 1.0, 2.0, tol, "alpha_upper")
+    return _sign_change(c, 1.0, 2.0, tol, "alpha_upper")
 
 
 def alpha_lower(c: float, tol: float = 1e-9) -> float | None:
@@ -163,7 +136,7 @@ def alpha_lower(c: float, tol: float = 1e-9) -> float | None:
     if not v_eval(0.0, c)[0] >= 0:
         return None
     # v(0) >= 0 and v(1) < 0
-    return _bisect(lambda a: v_eval(a, c)[0] >= 0, 0.0, 1.0, tol, "alpha_lower")
+    return _sign_change(c, 0.0, 1.0, tol, "alpha_lower")
 
 
 def admissible_interval(c: float, tol: float = 1e-9) -> AlphaInterval:

@@ -221,20 +221,19 @@ def _sample_scenario(kind: str, alpha: float, rng: np.random.Generator,
         delta = max(delta, 1e-9 * d_xy)
         return AxiomScenario("A2", alpha, p, q, r=r, d_xy=d_xy, d_xz=d_xz,
                              d_yz=d_yz, perturbation=delta)
-    if kind in ("A3", "A3c"):
-        lo = c_threshold if (kind == "A3c" and c_threshold) else ranges.c_bar[0]
-        if lo >= ranges.c_bar[1]:
-            raise DomainError(
-                f"threshold {lo} leaves no admissible c_bar below {ranges.c_bar[1]}"
-            )
-        c_bar = rng.uniform(max(lo, np.nextafter(ranges.c_bar[0], 2.0)), ranges.c_bar[1])
-        p = _log_uniform(rng, mlo, mhi)
-        q = _log_uniform(rng, mlo, mhi)
-        d = _log_uniform(rng, dlo, dhi)
-        delta = p / 2.0 * rng.uniform(0.01, 1.0)
-        return AxiomScenario(kind, alpha, p, q, d=d, c_bar=c_bar,
-                             perturbation=delta, c_threshold=c_threshold)
-    raise DomainError(f"unknown scenario kind {kind!r}")
+    # A3 or A3c
+    lo = c_threshold if (kind == "A3c" and c_threshold) else ranges.c_bar[0]
+    if not lo < ranges.c_bar[1]:
+        raise DomainError(
+            f"threshold {lo} leaves no admissible c_bar below {ranges.c_bar[1]}"
+        )
+    c_bar = rng.uniform(max(lo, np.nextafter(ranges.c_bar[0], 2.0)), ranges.c_bar[1])
+    p = _log_uniform(rng, mlo, mhi)
+    q = _log_uniform(rng, mlo, mhi)
+    d = _log_uniform(rng, dlo, dhi)
+    delta = p / 2.0 * rng.uniform(0.01, 1.0)
+    return AxiomScenario(kind, alpha, p, q, d=d, c_bar=c_bar,
+                         perturbation=delta, c_threshold=c_threshold)
 
 
 def run_suite(
@@ -257,9 +256,11 @@ def run_suite(
         raise DomainError("count must be at least 1")
     ranges = ranges or SamplerRanges()
     ranges.validate()
-    check = _CHECKS[axiom] if axiom in _CHECKS else None
-    if check is None:
+    if axiom not in _CHECKS:
         raise DomainError(f"unknown axiom {axiom!r}")
+    if seed < 0:
+        raise DomainError(f"seed must be non-negative, got {seed}")
+    check = _CHECKS[axiom]
     rng = np.random.default_rng(seed)
     failures = 0
     witness = None

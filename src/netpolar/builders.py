@@ -111,6 +111,17 @@ def _point_id(pos: tuple[float, ...]) -> str:
     return "(" + ",".join(f"{x:g}" for x in pos) + ")"
 
 
+def _point_ids(positions: Sequence[tuple[float, ...]]) -> list[str]:
+    """The id of each position; two distinct positions with one id are an error."""
+    first = {}
+    for pos in positions:
+        pid = _point_id(pos)
+        other = first.setdefault(pid, pos)
+        if other != pos:
+            raise ValidationError(f"positions {other!r} and {pos!r} share the node id {pid}")
+    return list(first)
+
+
 def build_line(points: MassPoints) -> Network:
     """Chain network of 1-D mass points, consecutive gaps as edge weights.
 
@@ -120,11 +131,10 @@ def build_line(points: MassPoints) -> Network:
     if points.dim != 1:
         raise DomainError("build_line expects 1-D positions")
     ordered = sorted(points.points, key=lambda p: p[0][0])
-    nodes = [(_point_id(pos), mass) for pos, mass in ordered]
-    edges = []
-    for (pa, _), (pb, _) in zip(ordered, ordered[1:]):
-        edges.append((_point_id(pa), _point_id(pb), abs(pb[0] - pa[0])))
-    return validate_network(nodes, edges)
+    ids = _point_ids([pos for pos, _ in ordered])
+    edges = [(a, b, abs(pb[0] - pa[0]))
+             for a, b, (pa, _), (pb, _) in zip(ids, ids[1:], ordered, ordered[1:])]
+    return validate_network(zip(ids, [mass for _, mass in ordered]), edges)
 
 
 def build_complete_uniform(masses: Sequence[float]) -> Network:
@@ -330,7 +340,7 @@ def build_lattice(points: MassPoints, norm: str = "manhattan") -> Network:
     if norm not in _NORMS:
         raise DomainError(f"unknown norm {norm!r}; choose from {sorted(_NORMS)}")
     dist = _NORMS[norm]
-    ids = [_point_id(pos) for pos, _ in points.points]
+    ids = _point_ids([pos for pos, _ in points.points])
     xs = np.array([pos for pos, _ in points.points], dtype=float).reshape(len(ids), points.dim)
     a, b = np.triu_indices(len(ids), k=1)  # combinations order
     w = np.empty(len(a))

@@ -140,7 +140,9 @@ def verify_bipolar_max(
         raise DomainError("need at least two nodes")
     if not 0 < alpha < np.inf:
         raise DomainError(f"alpha must be positive and finite, got {alpha}")
-    units = round(1.0 / grid_step)
+    # a step outside (0, 1], nan, or one whose inverse overflows has no units
+    inverse = 1.0 / grid_step if 0 < grid_step <= 1 else 0.0
+    units = round(inverse) if inverse < np.inf else 0
     if units < 1 or abs(units * grid_step - 1.0) > 1e-9:
         raise DomainError(f"grid step {grid_step} must evenly divide 1")
     if math.comb(units + net.n - 1, net.n - 1) > MAX_GRID_POINTS:

@@ -223,11 +223,12 @@ def geodesic_distances(net: Network) -> DistanceMatrix:
     d.flags.writeable = False
     if net.n < 2:
         return DistanceMatrix(net.ids, d, 0.0, None)
-    iu = np.triu_indices(net.n, k=1)
-    flat = d[iu]
-    k = int(np.argmax(flat))
-    pair = (net.ids[int(iu[0][k])], net.ids[int(iu[1][k])])
-    return DistanceMatrix(net.ids, d, float(flat[k]), pair)
+    # d is symmetric with a zero diagonal, so the first maximum in row-major
+    # order is the first i < j pair, unless every distance is 0
+    i, j = divmod(int(np.argmax(d)), net.n)
+    if i == j:
+        i, j = 0, 1
+    return DistanceMatrix(net.ids, d, float(d[i, j]), (net.ids[i], net.ids[j]))
 
 
 def diameter(net: Network) -> tuple[tuple[str, str] | None, float]:

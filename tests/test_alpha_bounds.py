@@ -204,6 +204,52 @@ class TestBounds:
             alpha_upper(1.5, tol=0.0)
 
 
+# 40-digit mpmath solutions of v(alpha, c) = 0, rounded to double
+REFERENCE_LOWER = {
+    1.0005: 0.980414233741392,
+    1.1: 0.6796696384808145,
+    1.5: 0.22006079353488572,
+    1.9: 0.02130105360146452,
+    1.99: 0.0013149012500487229,
+    1.9999: 7.839581222575468e-06,
+    1.999999: 5.653418603937381e-08,
+}
+REFERENCE_UPPER = {1.0005: 1.019148348382068, 1.5: 1.460065994912904, 2.0: 1.5977838594306615}
+
+
+class TestReferenceBounds:
+    @pytest.mark.parametrize("c, want", REFERENCE_LOWER.items())
+    def test_lower_bound_within_tolerance(self, c, want):
+        tol = 1e-9
+        assert abs(alpha_lower(c, tol) - want) <= tol
+
+    @pytest.mark.parametrize("c, want", REFERENCE_UPPER.items())
+    def test_upper_bound_within_tolerance(self, c, want):
+        tol = 1e-9
+        assert abs(alpha_upper(c, tol) - want) <= tol
+
+    def test_far_maximum_is_found(self):
+        # the argmax sits near z = 1.02e7 for alpha this small
+        value, argmax = v_eval(0.001, 1.983)
+        assert value == pytest.approx(10200.2348164546, rel=1e-9)
+        assert 1e7 < argmax < 1.1e7
+
+    def test_local_peak_below_the_value_at_zero(self):
+        # f falls from f(0) = -1/2, turns up, and peaks near z = 54.7 at
+        # about -0.947, so the maximum over z >= 0 is the one at z = 0
+        alpha, c = 0.001, 1.995
+        z = np.geomspace(1e-12, 1e12, 200001)
+        assert f_eval(z, alpha, c).max() == pytest.approx(-0.9473328158, abs=1e-8)
+        assert v_eval(alpha, c) == (-0.5, 0.0)
+
+    def test_nonfinite_tolerance_rejected(self):
+        for tol in (float("inf"), float("nan")):
+            with pytest.raises(DomainError, match="tolerance must be positive and finite"):
+                alpha_lower(1.5, tol)
+            with pytest.raises(DomainError, match="tolerance must be positive and finite"):
+                alpha_upper(1.5, tol)
+
+
 class TestLemma1Witness:
     @pytest.mark.parametrize(
         "alpha", [0.05, 0.3, 0.5, 0.8, 0.95, 1.05, 1.2, 1.5, 2.0, 3.0]

@@ -101,6 +101,13 @@ class TestLine:
         with pytest.raises(ValidationError, match="positions must be pairwise distinct"):
             MassPoints((((1.0,), 1.0), ((1.0,), 2.0)))
 
+    def test_distinct_positions_sharing_an_id_rejected(self):
+        # %g keeps six significant digits, so both positions print as (0.123457)
+        pts = MassPoints((((0.1234568,), 1.0), ((0.1234567,), 1.0)))
+        with pytest.raises(ValidationError, match=r"^positions \(0\.1234567,\) and "
+                           r"\(0\.1234568,\) share the node id \(0\.123457\)$"):
+            build_line(pts)
+
 
 class TestCompleteUniform:
     def test_hand_value(self):
@@ -333,6 +340,12 @@ class TestLattice:
     def test_unknown_norm(self):
         with pytest.raises(DomainError, match="unknown norm 'hamming'"):
             build_lattice(self.POINTS, norm="hamming")
+
+    def test_distinct_positions_sharing_an_id_rejected(self):
+        pts = MassPoints((((0.0, 1.0), 1.0), ((0.1234567, 1.0), 1.0), ((0.1234568, 1.0), 1.0)))
+        with pytest.raises(ValidationError, match=r"^positions \(0\.1234567, 1\.0\) and "
+                           r"\(0\.1234568, 1\.0\) share the node id \(0\.123457,1\)$"):
+            build_lattice(pts)
 
 
 class TestCsvLoaders:

@@ -352,6 +352,22 @@ class TestErrorHandling:
         assert main(argv + ["--alpha", alpha]) == 1
         assert "error: alpha must be positive and finite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv, message", [
+        *[(["extremal", "--step", step], f"grid step {float(step)} must evenly divide 1")
+          for step in ("0", "-0.0", "nan", "1e-320")],
+        (["axioms", "--suite", "A3c", "--seed", "1", "--samples", "5", "--c", "nan"],
+         "threshold nan leaves no admissible c_bar below 2.0"),
+        (["axioms", "--suite", "A2", "--seed", "-1", "--samples", "5"],
+         "seed must be non-negative, got -1"),
+        (["alpha-bounds", "--tol", "inf"], "tolerance must be positive and finite"),
+    ], ids=["step-0", "step-neg-0", "step-nan", "step-subnormal", "c-nan", "seed-neg", "tol-inf"])
+    def test_degenerate_numeric_flag_is_a_domain_error(self, argv, message, two_point_file,
+                                                       capsys):
+        if argv[0] == "extremal":
+            argv = argv + ["--network", two_point_file]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+
     def test_a1_at_nan_alpha_fails_within_the_timeout(self):
         # no draw passes the A1 acceptance test at alpha = nan, so a missing
         # check makes the sampler loop forever; a subprocess bounds that

@@ -120,6 +120,24 @@ class TestGeodesics:
         pair, value = diameter(net)
         assert value == 2.0 and pair == ("a", "c")
 
+        def first_upper_maximum(dm):
+            i, j = np.triu_indices(len(dm.ids), k=1)
+            k = int(np.argmax(dm.d[i, j]))
+            return dm.d[i[k], j[k]], (dm.ids[i[k]], dm.ids[j[k]])
+
+        # dyadic weights make ties common; the chain and the edgeless
+        # longest-path network have all-zero distances
+        rng = np.random.default_rng(11)
+        nets = [random_connected_network(rng, dyadic=k % 2 == 1) for k in range(3000)]
+        nets.append(validate_network([(i, 1.0) for i in "abc"],
+                                     [("a", "b", 0.0), ("b", "c", 0.0)]))
+        nets.append(validate_network([(i, 1.0) for i in "abcd"], [("c", "d", 2.0)],
+                                     allow_disconnected=True))
+        nets.append(validate_network([(i, 1.0) for i in "abc"], [], allow_disconnected=True))
+        for net in nets:
+            dm = geodesic_distances(net)
+            assert (dm.diameter, dm.diameter_pair) == first_upper_maximum(dm)
+
     def test_single_node_distance_matrix(self):
         dm = geodesic_distances(validate_network([("a", 1.0)]))
         assert dm.diameter == 0.0 and dm.diameter_pair is None
