@@ -8,9 +8,11 @@ Kemeny preference graphs, and norm-induced complete graphs on attribute
 points.
 
 The vote, preference and attribute builders work on arrays, not pair by
-pair: disagreement and co-sponsorship counts are matrix products of the 0/1
-vote matrix, hypercube and Kemeny neighbours come from integer codes, and
-lattice weights are norms of a block of coordinate differences at a time.
+pair: disagreement, co-sponsorship and shared party position counts are
+matrix products of 0/1 matrices (party seats and majorities come from a
+voter-by-party membership matrix), hypercube and Kemeny neighbours come from
+integer codes, and lattice weights are norms of a block of coordinate
+differences at a time.
 Edges keep ``itertools.combinations`` order, and every weight has the bits
 a per-pair computation gives: counts are exact in float64, and the
 euclidean norm is one dot product per pair, as ``np.linalg.norm`` computes
@@ -50,6 +52,8 @@ class VoteMatrix:
         k = len(self.entries[0]) if self.entries else 0
         if k < 1:
             raise ValidationError("vote matrix needs at least one bill")
+        if len(self.entries) != len(self.voters):
+            raise ValidationError(f"{len(self.voters)} voters but {len(self.entries)} vote rows")
         for voter, row in zip(self.voters, self.entries):
             if len(row) != k:
                 raise ValidationError(f"voter {voter!r} has {len(row)} entries, expected {k}")
@@ -184,35 +188,30 @@ def build_representatives(votes: VoteMatrix) -> Network:
                             _edges(votes.voters, a[linked], b[linked], differing[linked] / k))
 
 
-def _party_members(votes: VoteMatrix) -> dict[str, list[tuple[int, ...]]]:
-    """Vote rows grouped by party, parties in order of first appearance."""
-    members: dict[str, list[tuple[int, ...]]] = {}
-    for voter, row in zip(votes.voters, votes.entries):
-        party = votes.party.get(voter)
-        if party is None:
-            raise ValidationError(f"voter {voter!r} has no party")
-        members.setdefault(party, []).append(row)
-    return members
+def _party_majorities(votes: VoteMatrix) -> tuple[list[str], np.ndarray, np.ndarray]:
+    """Parties in order of first appearance, their seats, and their per-bill majority signs.
 
-
-def _majorities(members: dict[str, list[tuple[int, ...]]],
-                k: int) -> dict[str, tuple[int | None, ...]]:
-    out = {}
-    for party, rows in members.items():
-        positions: list[int | None] = []
-        for bill in range(k):
-            ones = sum(row[bill] for row in rows)
-            zeros = len(rows) - ones
-            positions.append(None if ones == zeros else int(ones > zeros))
-        out[party] = tuple(positions)
-    return out
+    A sign is +1 where most of the party votes 1, -1 where most votes 0, and
+    0 on a tied bill: the sign of ``2 * yes - seats``.
+    """
+    labels = [votes.party.get(voter) for voter in votes.voters]
+    if None in labels:
+        raise ValidationError(f"voter {votes.voters[labels.index(None)]!r} has no party")
+    column = {party: j for j, party in enumerate(dict.fromkeys(labels))}
+    member = np.zeros((len(labels), len(column)))  # voter x party
+    member[np.arange(len(labels)), [column[party] for party in labels]] = 1.0
+    seats = member.sum(axis=0)
+    yes = member.T @ np.array(votes.entries, dtype=float)  # exact integer counts
+    return list(column), seats, np.sign(2.0 * yes - seats[:, None])
 
 
 def party_positions(votes: VoteMatrix) -> dict[str, tuple[int | None, ...]]:
     """Per-bill majority vote of each party; ``None`` marks a tied bill."""
     if votes.party is None:
         raise ValidationError("party map required")
-    return _majorities(_party_members(votes), votes.k)
+    parties, _, sign = _party_majorities(votes)
+    vote = np.array([0, None, 1], dtype=object)[sign.astype(int) + 1]
+    return dict(zip(parties, map(tuple, vote.tolist())))
 
 
 def build_parties(votes: VoteMatrix, tie_rule: str = "strict-majority") -> Network:
@@ -228,26 +227,18 @@ def build_parties(votes: VoteMatrix, tie_rule: str = "strict-majority") -> Netwo
         raise DomainError(f"unknown tie rule {tie_rule!r}")
     if votes.party is None:
         raise ValidationError("party map required to build a party network")
-    members = _party_members(votes)
-    if len(members) < 2:
+    parties, seats, sign = _party_majorities(votes)
+    if len(parties) < 2:
         raise DomainError("need at least two parties")
-
-    k = votes.k
-    positions = _majorities(members, k)
-    nodes = [(p, float(len(rows))) for p, rows in members.items()]
-    edges = []
-    for pa, pb in itertools.combinations(members, 2):
-        pos_a, pos_b = positions[pa], positions[pb]
-        common = sum(
-            1 for a, b in zip(pos_a, pos_b) if a is not None and a == b
-        )
-        if tie_rule == "exclude-bill":
-            denom = sum(1 for a, b in zip(pos_a, pos_b) if a is not None and b is not None)
-        else:
-            denom = k
-        if common >= 1:
-            edges.append((pa, pb, 1.0 - common / denom))
-    return validate_network(nodes, edges)
+    yes, no, held = (m.astype(float) for m in (sign > 0, sign < 0, sign != 0))
+    a, b = np.triu_indices(len(parties), k=1)  # combinations order
+    common = (yes @ yes.T + no @ no.T)[a, b]  # bills on which both majorities coincide
+    linked = common >= 1
+    a, b, common = a[linked], b[linked], common[linked]
+    # exclude-bill counts only the bills on which neither party is tied
+    denom = (held @ held.T)[a, b] if tie_rule == "exclude-bill" else votes.k
+    return validate_network(zip(parties, seats.tolist()),
+                            _edges(parties, a, b, 1.0 - common / denom))
 
 
 def build_cosponsorship(sponsorships: VoteMatrix) -> Network:
@@ -424,10 +415,10 @@ def load_preferences_csv(path: str | Path) -> PreferenceProfile:
 
 
 def load_mass_points_csv(path: str | Path) -> MassPoints:
-    """Read ``x_1,...,x_m,mass`` rows (no header required)."""
+    """Read ``x_1,...,x_m,mass`` rows, after a header line none of whose fields is a number."""
     rows = [row for row in _read_csv(path) if row]
-    if rows and any(not _is_number(x) for x in rows[0]):
-        rows = rows[1:]  # tolerate a header line
+    if rows and not any(map(_is_number, rows[0])):
+        rows = rows[1:]
     points = []
     for lineno, row in enumerate(rows, start=1):
         if len(row) < 2:

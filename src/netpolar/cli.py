@@ -1,18 +1,21 @@
 """Command-line front end.
 
 Subcommands: ``compute``, ``distances``, ``build``, ``axioms``,
-``alpha-bounds``, ``extremal``, ``counterexample``.  Reports are JSON by
-default (``--format csv`` for tabular outputs) and embed the resolved
-configuration, so identical invocations produce byte-identical files.
-Exit codes: 0 success, 1 domain error, 2 usage error.
+``alpha-bounds``, ``extremal``, ``counterexample``.  Each ends in
+:func:`_emit`: a summary line on stdout, and the report in ``--out``, JSON by
+default (``--format csv`` for tabular outputs) with the resolved configuration
+embedded, so identical invocations produce byte-identical files.
+Exit codes: 0 success, 1 domain error or unwritable ``--out``, 2 usage error.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
-from functools import cache
+from dataclasses import asdict
+from functools import cache, partial
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
@@ -38,13 +41,30 @@ def parse_network_file(path: str | Path, allow_disconnected: bool = False) -> Ne
     return network_from_dict(raw, allow_disconnected=allow_disconnected)
 
 
-def _json(payload: dict) -> str:
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+def _json(payload: dict, **lists: list[str]) -> str:
+    """``json.dumps(payload | lists, indent=2, sort_keys=True)`` and a newline.
+
+    Each keyword is a top-level list whose items arrive rendered as json renders
+    them two levels deep; they replace a placeholder in one pass.
+    """
+    text = json.dumps({**payload, **dict.fromkeys(lists, 0)}, indent=2, sort_keys=True) + "\n"
+    bodies = {encode_basestring_ascii(key): "[\n" + ",\n".join(items) + "\n  ]" if items else "[]"
+              for key, items in lists.items()}
+    # a top-level key starts a line two spaces in: no rendered string holds a newline
+    keys = "|".join(map(re.escape, bodies))
+    return re.sub(f"^  ({keys}): 0", lambda m: f"  {m[1]}: {bodies[m[1]]}", text,
+                  flags=re.M) if lists else text
 
 
-def _write_report(text: str, out: str | None) -> None:
-    if out:
-        Path(out).write_text(text, encoding="utf-8")
+def _emit(args: argparse.Namespace, summary: str, report: str) -> int:
+    """Print the summary line and write ``report`` to ``--out`` if given; exit code 0."""
+    print(summary)
+    if args.out:
+        try:
+            Path(args.out).write_text(report, encoding="utf-8")
+        except OSError as exc:
+            raise ValidationError(f"{args.out}: {exc.strerror or exc}") from exc
+    return 0
 
 
 def _config_echo(args: argparse.Namespace) -> dict:
@@ -58,38 +78,31 @@ def _cmd_compute(args) -> int:
     dist = geodesic_distances(net)
     if args.normalize:
         result = normalized_polarization(net, params, dist)
-        print(f"value={result.value:.12g} normalized={result.normalized:.12g}")
+        summary = f"value={result.value:.12g} normalized={result.normalized:.12g}"
     else:
         result = polarization(net, params, dist)
-        print(f"value={result.value:.12g}")
-    _write_report(_json({"config": _config_echo(args), "result": result.to_dict()}), args.out)
-    return 0
+        summary = f"value={result.value:.12g}"
+    return _emit(args, summary, _json({"config": _config_echo(args), "result": result.to_dict()}))
 
 
 def _cmd_distances(args) -> int:
     net = parse_network_file(args.network, args.allow_disconnected_longest_path)
     dist = geodesic_distances(net)
-    print(f"diameter={dist.diameter:.12g} pair={dist.diameter_pair}")
+    summary = f"diameter={dist.diameter:.12g} pair={dist.diameter_pair}"
     rows = dist.d.tolist()
     if args.format == "csv":
-        lines = ["," + ",".join(dist.ids)]
-        lines += [i + "," + ",".join(map("{:.12g}".format, row)) for i, row in zip(dist.ids, rows)]
-        _write_report("\n".join(lines) + "\n", args.out)
-    else:
-        payload = {
-            "config": _config_echo(args),
-            "order": list(dist.ids),
-            "d": 0,  # placeholder for the matrix, rendered below
-            "diameter": dist.diameter,
-            "diameter_pair": list(dist.diameter_pair) if dist.diameter_pair else None,
-        }
-        # json.dumps(indent=2) of the matrix, written out: the distances are
-        # finite, so each one renders as float.__repr__, as json does
-        matrix = ",\n".join("    [\n      " + ",\n      ".join(map(float.__repr__, row))
-                            + "\n    ]" for row in rows)
-        text = _json(payload).replace('\n  "d": 0,\n', '\n  "d": [\n' + matrix + "\n  ],\n", 1)
-        _write_report(text, args.out)
-    return 0
+        # each id as csv.writer writes a field: quoted if it holds a comma, a quote, CR or LF
+        ids = ['"' + i.replace('"', '""') + '"' if any(c in i for c in ',"\r\n') else i
+               for i in dist.ids]
+        lines = ["," + ",".join(ids)]
+        lines += [i + "," + ",".join(map("{:.12g}".format, row)) for i, row in zip(ids, rows)]
+        return _emit(args, summary, "\n".join(lines) + "\n")
+    pair = list(dist.diameter_pair) if dist.diameter_pair else None
+    payload = {"config": _config_echo(args), "order": list(dist.ids),
+               "diameter": dist.diameter, "diameter_pair": pair}
+    # the distances are finite, so each one renders as float.__repr__, as json does
+    d = ["    [\n      " + ",\n      ".join(map(float.__repr__, row)) + "\n    ]" for row in rows]
+    return _emit(args, summary, _json(payload, d=d))
 
 
 BUILDERS = {  # kind -> (loader, builder)
@@ -112,76 +125,64 @@ BUILD_OPTIONS = {
 
 
 def _network_json(net: Network) -> str:
-    """``_json(network_to_dict(net))``, written out.
+    """``_json(network_to_dict(net))``, with each edge and node rendered from a template.
 
     Ids go through the string encoder json uses, and masses and weights are
     finite after validation, so each renders as float.__repr__, as json does.
     """
     ids = dict(zip(net.ids, map(encode_basestring_ascii, net.ids)))
     edge = '    {\n      "u": %s,\n      "v": %s,\n      "w": %s\n    }'
-    edges = ",\n".join([edge % (ids[u], ids[v], float.__repr__(w)) for u, v, w in net.edges])
     node = '    {\n      "id": %s,\n      "mass": %s\n    }'
-    nodes = ",\n".join([node % (ids[i], float.__repr__(m)) for i, m in zip(net.ids, net.masses)])
-    return ('{\n  "edges": ' + ("[\n" + edges + "\n  ]" if edges else "[]")
-            + ',\n  "nodes": [\n' + nodes + "\n  ]\n}\n")
+    return _json({}, edges=[edge % (ids[u], ids[v], float.__repr__(w)) for u, v, w in net.edges],
+                 nodes=[node % (ids[i], float.__repr__(m)) for i, m in zip(net.ids, net.masses)])
 
 
 def _cmd_build(args) -> int:
     load, build = BUILDERS[args.kind]
     dest = BUILD_OPTIONS.get(args.kind, (None,))[0]
     net = build(load(args.input), **({dest: getattr(args, dest)} if dest else {}))
-    print(f"nodes={net.n} edges={len(net.edges)} total_mass={net.total_mass:.12g}")
-    _write_report(_network_json(net), args.out)
-    return 0
+    summary = f"nodes={net.n} edges={len(net.edges)} total_mass={net.total_mass:.12g}"
+    return _emit(args, summary, _network_json(net))
 
 
-def _cmd_axioms(args) -> int:
-    report = run_suite(
-        args.suite, alpha=args.alpha, count=args.samples, seed=args.seed,
-        c=args.c, K=args.K,
-    )
-    print(f"suite={report.axiom} samples={report.samples} failures={report.failures}")
-    _write_report(report.to_json() + "\n", args.out)
-    return 0
+def _cmd_axioms(args, usage_error) -> int:
+    if args.c is not None and args.suite != "A3c":
+        usage_error("argument --c: applies to --suite A3c only")
+    report = run_suite(args.suite, alpha=args.alpha, count=args.samples, seed=args.seed,
+                       c=args.c, K=args.K)
+    summary = f"suite={report.axiom} samples={report.samples} failures={report.failures}"
+    return _emit(args, summary, _json(asdict(report)))
 
 
 def _cmd_alpha_bounds(args) -> int:
-    cs = args.c_list if args.c_list else [args.c]
-    intervals = [admissible_interval(c, tol=args.tol) for c in cs]
+    intervals = [admissible_interval(c, tol=args.tol) for c in args.c_list or [args.c]]
     last = intervals[-1]
     lower = "none" if last.lower is None else f"{last.lower:.6g}"
-    print(f"c={last.c:g} alpha_lower={lower} alpha_upper={last.upper:.6g}")
+    summary = f"c={last.c:g} alpha_lower={lower} alpha_upper={last.upper:.6g}"
     if args.format == "csv":
         lines = ["c,alpha_lower,alpha_upper"]
         for iv in intervals:
             lo = "" if iv.lower is None else f"{iv.lower:.12g}"
             lines.append(f"{iv.c:g},{lo},{iv.upper:.12g}")
-        _write_report("\n".join(lines) + "\n", args.out)
-    else:
-        payload = {"config": _config_echo(args),
-                   "intervals": [iv.to_dict() for iv in intervals]}
-        _write_report(_json(payload), args.out)
-    return 0
+        return _emit(args, summary, "\n".join(lines) + "\n")
+    payload = {"config": _config_echo(args), "intervals": [iv.to_dict() for iv in intervals]}
+    return _emit(args, summary, _json(payload))
 
 
 def _cmd_extremal(args) -> int:
     net = parse_network_file(args.network, args.allow_disconnected_longest_path)
     report = verify_bipolar_max(net, alpha=args.alpha, grid_step=args.step)
-    print(f"is_bipolar_max={report.is_bipolar_max} "
-          f"bipolar={report.bipolar_value:.12g} best={report.best_value:.12g}")
-    _write_report(report.to_json() + "\n", args.out)
-    return 0
+    summary = (f"is_bipolar_max={report.is_bipolar_max} "
+               f"bipolar={report.bipolar_value:.12g} best={report.best_value:.12g}")
+    return _emit(args, summary, _json(asdict(report)))
 
 
 def _cmd_counterexample(args) -> int:
     witness = counterexample_search(args.alpha)
-    if witness is None:
-        print("witness=none")
-    else:
-        print(f"witness eps={witness['eps']:g} value={witness['value']:.12g} "
-              f"bipolar={witness['bipolar_value']:.12g}")
-    _write_report(_json({"config": _config_echo(args), "witness": witness}), args.out)
-    return 0
+    summary = "witness=none" if witness is None else (
+        f"witness eps={witness['eps']:g} value={witness['value']:.12g} "
+        f"bipolar={witness['bipolar_value']:.12g}")
+    return _emit(args, summary, _json({"config": _config_echo(args), "witness": witness}))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -230,11 +231,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--c", type=float, default=None, help="threshold for A3c")
     p.add_argument("--out", default=None)
-    p.set_defaults(func=_cmd_axioms)
+    p.set_defaults(func=partial(_cmd_axioms, usage_error=p.error))
 
     p = sub.add_parser("alpha-bounds", help="admissible exponent interval(s)")
-    p.add_argument("--c", type=float, default=2.0)
-    p.add_argument("--c-list", type=float, nargs="*", default=None, dest="c_list")
+    ratio = p.add_mutually_exclusive_group()
+    ratio.add_argument("--c", type=float, default=2.0)
+    ratio.add_argument("--c-list", type=float, nargs="+", default=None, dest="c_list")
     p.add_argument("--tol", type=float, default=1e-9)
     p.add_argument("--out", default=None)
     p.add_argument("--format", choices=["json", "csv"], default="json")

@@ -62,6 +62,15 @@ def bipolar_value(diameter: float, total_mass: float, alpha: float, K: float) ->
     return K * diameter * 2.0 * (total_mass / 2.0) ** (2.0 + alpha)
 
 
+def _distances(net: Network, dist: DistanceMatrix | None) -> DistanceMatrix:
+    """``dist`` if it belongs to ``net``, the geodesic distances of ``net`` if it is absent."""
+    if dist is None:
+        return geodesic_distances(net)
+    if dist.ids != net.ids:
+        raise DomainError("distance matrix does not match the network")
+    return dist
+
+
 def polarization(
     net: Network,
     params: MeasureParams | None = None,
@@ -75,10 +84,7 @@ def polarization(
     silent ``inf`` or ``nan``.
     """
     params = params or MeasureParams()
-    if dist is None:
-        dist = geodesic_distances(net)
-    elif dist.ids != net.ids:
-        raise DomainError("distance matrix does not match the network")
+    dist = _distances(net, dist)
     m = net.mass_vector()
     with np.errstate(over="ignore", invalid="ignore"):  # reported just below
         value = float(p_alpha(m, dist.d, params.alpha, params.K))
@@ -91,11 +97,10 @@ def bipolar_maximum_value(net: Network, params: MeasureParams | None = None,
                           dist: DistanceMatrix | None = None) -> float:
     """P_alpha of the symmetric bipolar distribution on the same graph.
 
-    See :func:`bipolar_value`.
+    See :func:`bipolar_value`; ``dist`` is taken as in :func:`polarization`.
     """
     params = params or MeasureParams()
-    if dist is None:
-        dist = geodesic_distances(net)
+    dist = _distances(net, dist)
     return bipolar_value(dist.diameter, net.total_mass, params.alpha, params.K)
 
 
@@ -114,8 +119,7 @@ def normalized_polarization(
         raise DomainError("normalization is only meaningful at alpha = 1")
     if net.total_mass <= 0:
         raise DomainError("normalization needs positive total mass")
-    if dist is None:
-        dist = geodesic_distances(net)
+    dist = _distances(net, dist)
     res = polarization(net, params, dist)
     denom = bipolar_maximum_value(net, params, dist)
     # degenerate graph with zero diameter: every admissible value is 0

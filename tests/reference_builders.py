@@ -1,7 +1,8 @@
 """The pair-loop network builders, kept as a reference.
 
-``netpolar.builders`` builds the representative, co-sponsorship, lattice,
-vote-hypercube and Kemeny networks from arrays.  These functions are the
+``netpolar.builders`` builds the representative, co-sponsorship, party,
+lattice, vote-hypercube and Kemeny networks, and the party positions, from
+arrays.  These functions are the
 earlier implementation, one pair at a time; the equivalence tests require
 equal networks, with every weight bit for bit, or the same error class and
 message, from both.
@@ -23,7 +24,7 @@ from netpolar.builders import (
     _point_id,
     ranking_id,
 )
-from netpolar.errors import DomainError
+from netpolar.errors import DomainError, ValidationError
 from netpolar.graph import Network, validate_network
 
 
@@ -54,6 +55,61 @@ def build_representatives(votes: VoteMatrix) -> Network:
         differing = sum(a != b for a, b in zip(ra, rb))
         if differing < k:  # at least one agreement
             edges.append((va, vb, differing / k))
+    return validate_network(nodes, edges)
+
+
+def _party_members(votes: VoteMatrix) -> dict[str, list[tuple[int, ...]]]:
+    members: dict[str, list[tuple[int, ...]]] = {}
+    for voter, row in zip(votes.voters, votes.entries):
+        party = votes.party.get(voter)
+        if party is None:
+            raise ValidationError(f"voter {voter!r} has no party")
+        members.setdefault(party, []).append(row)
+    return members
+
+
+def _majorities(members: dict[str, list[tuple[int, ...]]],
+                k: int) -> dict[str, tuple[int | None, ...]]:
+    out = {}
+    for party, rows in members.items():
+        positions: list[int | None] = []
+        for bill in range(k):
+            ones = sum(row[bill] for row in rows)
+            zeros = len(rows) - ones
+            positions.append(None if ones == zeros else int(ones > zeros))
+        out[party] = tuple(positions)
+    return out
+
+
+def party_positions(votes: VoteMatrix) -> dict[str, tuple[int | None, ...]]:
+    if votes.party is None:
+        raise ValidationError("party map required")
+    return _majorities(_party_members(votes), votes.k)
+
+
+def build_parties(votes: VoteMatrix, tie_rule: str = "strict-majority") -> Network:
+    if tie_rule not in ("strict-majority", "exclude-bill"):
+        raise DomainError(f"unknown tie rule {tie_rule!r}")
+    if votes.party is None:
+        raise ValidationError("party map required to build a party network")
+    members = _party_members(votes)
+    if len(members) < 2:
+        raise DomainError("need at least two parties")
+    k = votes.k
+    positions = _majorities(members, k)
+    nodes = [(p, float(len(rows))) for p, rows in members.items()]
+    edges = []
+    for pa, pb in itertools.combinations(members, 2):
+        pos_a, pos_b = positions[pa], positions[pb]
+        common = sum(
+            1 for a, b in zip(pos_a, pos_b) if a is not None and a == b
+        )
+        if tie_rule == "exclude-bill":
+            denom = sum(1 for a, b in zip(pos_a, pos_b) if a is not None and b is not None)
+        else:
+            denom = k
+        if common >= 1:
+            edges.append((pa, pb, 1.0 - common / denom))
     return validate_network(nodes, edges)
 
 

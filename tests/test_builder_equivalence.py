@@ -103,6 +103,57 @@ def test_cosponsor_without_bills_is_the_same_error():
     assert got == (DisconnectedError, "graph is not connected")
 
 
+def random_parties(rng, votes):
+    """``votes`` with a party map over at most four parties; some voters may lack a party."""
+    labels = rng.integers(0, int(rng.integers(1, 5)), len(votes.voters))
+    party = {v: f"p{j}" for v, j in zip(votes.voters, labels)}
+    if rng.random() < 0.1:
+        del party[votes.voters[int(rng.integers(0, len(votes.voters)))]]
+    return VoteMatrix(votes.voters, votes.entries, party)
+
+
+def assert_same_positions(votes):
+    def positions(fn):
+        try:
+            return fn(votes)
+        except Exception as exc:  # noqa: BLE001 - the class and message are compared
+            return type(exc), str(exc)
+    assert positions(fast.party_positions) == positions(ref.party_positions)
+
+
+@pytest.mark.parametrize("tie_rule", ["strict-majority", "exclude-bill"])
+@pytest.mark.parametrize("seed", range(40))
+def test_parties(seed, tie_rule):
+    rng = np.random.default_rng(400 + seed)
+    votes = random_parties(rng, random_votes(rng, density=float(rng.uniform(0.1, 0.9))))
+    assert_same("build_parties", votes, tie_rule=tie_rule)
+    assert_same_positions(votes)
+
+
+@pytest.mark.parametrize("tie_rule", ["strict-majority", "exclude-bill"])
+def test_parties_tied_bills_missing_party_and_disconnected(tie_rule):
+    # p ties on bills 1 and 3 and q on bill 3; p-q share bill 2, q-r bill 1, p-r nothing
+    voters = ("a", "b", "c", "d", "e")
+    entries = ((0, 1, 1), (1, 1, 0), (0, 1, 0), (0, 1, 1), (0, 0, 1))
+    party = {"a": "p", "b": "p", "c": "q", "d": "q", "e": "r"}
+    votes = VoteMatrix(voters, entries, party)
+    net = assert_same("build_parties", votes, tie_rule=tie_rule)[0]
+    assert net.masses == (2.0, 2.0, 1.0)
+    assert [(u, v) for u, v, _ in net.edges] == [("p", "q"), ("q", "r")]
+    assert fast.party_positions(votes) == {"p": (None, 1, None), "q": (0, 1, None),
+                                           "r": (0, 0, 1)}
+    # a voter with no party
+    del party["c"]
+    got = assert_same("build_parties", VoteMatrix(voters, entries, party), tie_rule=tie_rule)
+    assert got == (ValidationError, "voter 'c' has no party")
+    assert_same_positions(VoteMatrix(voters, entries, party))
+    # two parties that share no majority position
+    split = {"a": "p", "b": "p", "c": "q", "d": "q", "e": "q"}
+    got = assert_same("build_parties", VoteMatrix(voters, ((1, 1, 0),) * 2 + ((0, 0, 1),) * 3,
+                                                   split), tie_rule=tie_rule)
+    assert got == (DisconnectedError, "graph is not connected")
+
+
 @pytest.mark.parametrize("seed", range(20))
 def test_vote_hypercube(seed):
     rng = np.random.default_rng(200 + seed)

@@ -59,6 +59,14 @@ class TestVoteMatrixValidation:
         with pytest.raises(ValidationError, match="needs at least one bill"):
             VoteMatrix(("a",), ((),))
 
+    @pytest.mark.parametrize("voters, entries, message", [
+        (("a", "b", "c"), ((1, 0), (0, 1)), "3 voters but 2 vote rows"),
+        (("a",), ((1, 0), (0, 1)), "1 voters but 2 vote rows"),
+    ])
+    def test_voter_and_row_counts_must_agree(self, voters, entries, message):
+        with pytest.raises(ValidationError, match=message):
+            VoteMatrix(voters, entries)
+
 
 class TestLine:
     def test_two_points(self):
@@ -411,6 +419,12 @@ class TestCsvLoaders:
         path = tmp_path / "pts.csv"
         path.write_text("0,1\nx,2\n")
         with pytest.raises(ValidationError, match="non-numeric field"):
+            load_mass_points_csv(path)
+
+    def test_mass_points_first_row_with_a_number_is_data(self, tmp_path):
+        path = tmp_path / "pts.csv"
+        path.write_text("0.5,1O\n2,3\n")  # a typo, not a header
+        with pytest.raises(ValidationError, match=r"pts\.csv:1: non-numeric field"):
             load_mass_points_csv(path)
 
 

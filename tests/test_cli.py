@@ -1,21 +1,26 @@
 """End-to-end exercises of the command-line interface."""
 
 import contextlib
+import csv
 import io
 import json
 import os
 import subprocess
 import sys
 import tempfile
+import textwrap
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import netpolar
-from netpolar.cli import _network_json, _parser, build_parser, main
-from netpolar.graph import network_to_dict, validate_network
+from netpolar.axioms import run_suite
+from netpolar.cli import _json, _network_json, _parser, build_parser, main, parse_network_file
+from netpolar.extremal import verify_bipolar_max
+from netpolar.graph import geodesic_distances, network_to_dict, validate_network
 
 TWO_POINT = {
     "nodes": [{"id": "a", "mass": 0.5}, {"id": "b", "mass": 0.5}],
@@ -92,6 +97,27 @@ class TestDistances:
         lines = out.read_text().splitlines()
         assert lines[0] == ",x,y,z"
         assert lines[1].startswith("x,0,1,1")
+
+    @pytest.mark.parametrize("kind, table", [
+        ("lattice", [["0", "0", "1"], ["3", "4", "2"], ["-1", "2.5", "0.5"]]),
+        ("reps", [["voter", "b1", "b2", "b3"], ["a,b", "1", "0", "1"],
+                  ['say "hi"', "1", "1", "0"], ["two\nlines", "0", "1", "1"],
+                  ["cr\rhere", "1", "0", "0"], ["plain", "1", "1", "1"]]),
+    ])
+    def test_csv_ids_read_back_through_csv_reader(self, kind, table, tmp_path, capsys):
+        src, net, out = tmp_path / "in.csv", tmp_path / "net.json", tmp_path / "d.csv"
+        with open(src, "w", newline="", encoding="utf-8") as fh:
+            csv.writer(fh).writerows(table)
+        assert main(["build", kind, "--input", str(src), "--out", str(net)]) == 0
+        assert main(["distances", "--network", str(net), "--format", "csv",
+                     "--out", str(out)]) == 0
+        with open(out, newline="", encoding="utf-8") as fh:
+            rows = list(csv.reader(fh))
+        dist = geodesic_distances(parse_network_file(net))
+        assert rows[0] == [""] + list(dist.ids)
+        assert [r[0] for r in rows[1:]] == list(dist.ids)
+        got = np.array([[float(x) for x in r[1:]] for r in rows[1:]])
+        np.testing.assert_allclose(got, dist.d, rtol=1e-11, atol=0)
 
 
 class TestBuild:
@@ -411,6 +437,40 @@ class TestErrorHandling:
         assert exc.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [
+        *[["axioms", "--suite", suite, "--seed", "1", "--samples", "5", "--c", "1.5"]
+          for suite in ("A1", "A2", "A3")],
+        ["alpha-bounds", "--c", "1.5", "--c-list", "1.2"],
+        ["alpha-bounds", "--c-list", "1.2", "--c", "1.5"],
+        ["alpha-bounds", "--c-list"],
+    ], ids=["A1-c", "A2-c", "A3-c", "c-then-c-list", "c-list-then-c", "empty-c-list"])
+    def test_flag_that_would_be_ignored_exits_two(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"netpolar {argv[0]}: error: argument --c" in err
+
+    @pytest.mark.parametrize("target", ["missing/r.json", "."], ids=["missing-dir", "directory"])
+    @pytest.mark.parametrize("argv", [
+        ["compute", "--network", "net.json"],
+        ["distances", "--network", "net.json"],
+        ["distances", "--network", "net.json", "--format", "csv"],
+        ["build", "line", "--input", "pts.csv"],
+        ["axioms", "--suite", "A2", "--seed", "1", "--samples", "5"],
+        ["alpha-bounds", "--tol", "1e-6"],
+        ["alpha-bounds", "--tol", "1e-6", "--format", "csv"],
+        ["extremal", "--network", "net.json", "--step", "0.5"],
+        ["counterexample", "--alpha", "1.5"],
+    ], ids=lambda argv: "-".join(a.lstrip("-") for a in argv[:1] + argv[-2:]))
+    def test_unwritable_out_is_one_error_line(self, argv, target, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "net.json").write_text(json.dumps(TWO_POINT))
+        (tmp_path / "pts.csv").write_text("0,1\n1,1\n")
+        assert main(argv + ["--out", target]) == 1
+        reason = "Is a directory" if target == "." else "No such file or directory"
+        assert capsys.readouterr().err == f"error: {target}: {reason}\n"
+
     def test_unknown_command_exits_two(self):
         with pytest.raises(SystemExit) as exc:
             main(["frobnicate"])
@@ -429,6 +489,30 @@ BAD_NUMBERS = (st.sampled_from([float("nan"), float("inf"), float("-inf"), 10 **
 NOT_A_STRING = JSON_VALUES.filter(lambda v: not isinstance(v, str))
 MUTATIONS = ("document", "not-a-list", "missing-key", "extra-key", "wrong-type", "bad-number",
              "unknown-endpoint", "overflow", "non-string-id")
+
+
+class TestJsonWriter:
+    @settings(max_examples=300, deadline=None)
+    @given(payload=st.dictionaries(st.text(max_size=4), JSON_VALUES, max_size=4),
+           lists=st.dictionaries(st.sampled_from(["d", "edges", "nodes", "é"]),
+                                 st.lists(JSON_VALUES, max_size=4), max_size=3))
+    def test_spliced_lists_give_the_text_of_json_dumps(self, payload, lists):
+        def item(value):  # rendered as json.dumps(indent=2) renders it two levels deep
+            return textwrap.indent(json.dumps(value, indent=2, sort_keys=True), "    ")
+        payload = {k: v for k, v in payload.items() if k not in lists}
+        want = json.dumps({**payload, **lists}, indent=2, sort_keys=True) + "\n"
+        assert _json(payload, **{k: list(map(item, v)) for k, v in lists.items()}) == want
+
+    def test_theory_reports_keep_their_bytes(self, triangle_file, tmp_path, capsys):
+        out = tmp_path / "report.json"
+        for argv, report in [
+            (["axioms", "--suite", "A3c", "--seed", "4", "--samples", "50", "--c", "1.5"],
+             run_suite("A3c", alpha=1.0, count=50, seed=4, c=1.5)),
+            (["extremal", "--network", triangle_file, "--step", "0.25"],
+             verify_bipolar_max(parse_network_file(triangle_file), grid_step=0.25)),
+        ]:
+            assert main(argv + ["--out", str(out)]) == 0
+            assert out.read_text() == report.to_json() + "\n"
 
 
 @st.composite

@@ -244,3 +244,12 @@ class TestDistReuse:
     def test_mismatched_distances_rejected(self):
         with pytest.raises(DomainError, match="does not match the network"):
             polarization(two_point(1.0, 1.0), dist=geodesic_distances(complete_unit([1, 1, 1])))
+
+    @pytest.mark.parametrize("measure", [bipolar_maximum_value, normalized_polarization])
+    def test_every_measure_rejects_another_networks_distances(self, measure):
+        net = two_point(1.0, 1.0)
+        assert bipolar_maximum_value(net) == 2.0
+        other = validate_network([("a", 1.0), ("b", 1.0), ("c", 1.0)],
+                                 [("a", "b", 4.0), ("b", "c", 6.0)])
+        with pytest.raises(DomainError, match="does not match the network"):
+            measure(net, dist=geodesic_distances(other))
