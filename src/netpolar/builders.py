@@ -16,7 +16,8 @@ differences at a time.
 Edges keep ``itertools.combinations`` order, and every weight has the bits
 a per-pair computation gives: counts are exact in float64, and the
 euclidean norm is one dot product per pair, as ``np.linalg.norm`` computes
-it.
+it.  Each builder hands its index and weight arrays to the network
+constructor in :mod:`netpolar.graph`.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DomainError, ValidationError
-from .graph import Network, validate_network
+from .graph import Network, _checked_nodes, _network
 
 MAX_BILLS = 20        # vote hypercube has 2^k nodes
 MAX_ALTERNATIVES = 7  # preference graph has m! nodes
@@ -136,9 +137,9 @@ def build_line(points: MassPoints) -> Network:
         raise DomainError("build_line expects 1-D positions")
     ordered = sorted(points.points, key=lambda p: p[0][0])
     ids = _point_ids([pos for pos, _ in ordered])
-    edges = [(a, b, abs(pb[0] - pa[0]))
-             for a, b, (pa, _), (pb, _) in zip(ids, ids[1:], ordered, ordered[1:])]
-    return validate_network(zip(ids, [mass for _, mass in ordered]), edges)
+    gaps = [abs(pb[0] - pa[0]) for (pa, _), (pb, _) in zip(ordered, ordered[1:])]
+    return _network(*_checked_nodes(zip(ids, [mass for _, mass in ordered])),
+                    np.arange(len(ids) - 1), np.arange(1, len(ids)), gaps)
 
 
 def build_complete_uniform(masses: Sequence[float]) -> Network:
@@ -146,9 +147,7 @@ def build_complete_uniform(masses: Sequence[float]) -> Network:
     if len(masses) < 2:
         raise DomainError("need at least two groups")
     ids = [f"g{i}" for i in range(len(masses))]
-    nodes = list(zip(ids, masses))
-    edges = [(a, b, 1.0) for a, b in itertools.combinations(ids, 2)]
-    return validate_network(nodes, edges)
+    return _network(*_checked_nodes(zip(ids, masses)), *np.triu_indices(len(ids), k=1), 1.0)
 
 
 def build_vote_hypercube(votes: VoteMatrix) -> Network:
@@ -168,8 +167,8 @@ def build_vote_hypercube(votes: VoteMatrix) -> Network:
     code = np.arange(2 ** k)[:, None]
     other = code ^ flips
     up = other > code
-    return validate_network(zip(ids, counts.astype(float).tolist()),
-                            _edges(ids, np.nonzero(up)[0], other[up], 1.0))
+    return _network(*_checked_nodes(zip(ids, counts.astype(float).tolist())),
+                    np.nonzero(up)[0], other[up], 1.0)
 
 
 def build_representatives(votes: VoteMatrix) -> Network:
@@ -184,8 +183,8 @@ def build_representatives(votes: VoteMatrix) -> Network:
     a, b = np.triu_indices(len(e), k=1)  # combinations order
     differing = (e @ (1 - e).T + (1 - e) @ e.T)[a, b]  # exact integer counts
     linked = differing < k  # at least one agreement
-    return validate_network([(v, 1.0) for v in votes.voters],
-                            _edges(votes.voters, a[linked], b[linked], differing[linked] / k))
+    return _network(*_checked_nodes((v, 1.0) for v in votes.voters),
+                    a[linked], b[linked], differing[linked] / k)
 
 
 def _party_majorities(votes: VoteMatrix) -> tuple[list[str], np.ndarray, np.ndarray]:
@@ -237,8 +236,7 @@ def build_parties(votes: VoteMatrix, tie_rule: str = "strict-majority") -> Netwo
     a, b, common = a[linked], b[linked], common[linked]
     # exclude-bill counts only the bills on which neither party is tied
     denom = (held @ held.T)[a, b] if tie_rule == "exclude-bill" else votes.k
-    return validate_network(zip(parties, seats.tolist()),
-                            _edges(parties, a, b, 1.0 - common / denom))
+    return _network(*_checked_nodes(zip(parties, seats.tolist())), a, b, 1.0 - common / denom)
 
 
 def build_cosponsorship(sponsorships: VoteMatrix) -> Network:
@@ -246,15 +244,8 @@ def build_cosponsorship(sponsorships: VoteMatrix) -> Network:
     e = np.array(sponsorships.entries, dtype=float)
     a, b = np.triu_indices(len(e), k=1)  # combinations order
     shared = (e @ e.T)[a, b] > 0
-    return validate_network([(v, 1.0) for v in sponsorships.voters],
-                            _edges(sponsorships.voters, a[shared], b[shared], 1.0))
-
-
-def _edges(ids: Sequence[str], a: np.ndarray, b: np.ndarray, w) -> zip:
-    """Edge triples from index arrays into ``ids``; ``w`` is an array or one weight."""
-    ids = np.array(ids, dtype=object)
-    w = np.broadcast_to(np.asarray(w, dtype=float), a.shape)
-    return zip(ids[a].tolist(), ids[b].tolist(), w.tolist())
+    return _network(*_checked_nodes((v, 1.0) for v in sponsorships.voters),
+                    a[shared], b[shared], 1.0)
 
 
 def ranking_id(ranking: Sequence[str]) -> str:
@@ -299,8 +290,8 @@ def build_preference_kemeny(profile: PreferenceProfile) -> Network:
     left, right = pos[:, :-1], pos[:, 1:]
     up = rank[right] > rank[left]
     swapped = np.searchsorted(key, key[:, None] + (right - left) * (place[:-1] - place[1:]))
-    return validate_network(zip(ids, [counts.get(p, 0.0) for p in perms]),
-                            _edges(ids, np.nonzero(up)[0], swapped[up], 1.0))
+    return _network(*_checked_nodes(zip(ids, [counts.get(p, 0.0) for p in perms])),
+                    np.nonzero(up)[0], swapped[up], 1.0)
 
 
 def _manhattan(delta: np.ndarray) -> np.ndarray:
@@ -336,11 +327,10 @@ def build_lattice(points: MassPoints, norm: str = "manhattan") -> Network:
     a, b = np.triu_indices(len(ids), k=1)  # combinations order
     w = np.empty(len(a))
     step = LATTICE_BLOCK // max(1, points.dim)
-    with np.errstate(over="ignore"):  # an infinite weight is reported by validation
+    with np.errstate(over="ignore"):  # an infinite weight is reported as invalid
         for s in range(0, len(a), step):
             w[s:s + step] = dist(xs[a[s:s + step]] - xs[b[s:s + step]])
-    return validate_network(zip(ids, [mass for _, mass in points.points]),
-                            _edges(ids, a, b, w))
+    return _network(*_checked_nodes(zip(ids, [mass for _, mass in points.points])), a, b, w)
 
 
 # -- CSV ingestion -----------------------------------------------------------
@@ -416,11 +406,11 @@ def load_preferences_csv(path: str | Path) -> PreferenceProfile:
 
 def load_mass_points_csv(path: str | Path) -> MassPoints:
     """Read ``x_1,...,x_m,mass`` rows, after a header line none of whose fields is a number."""
-    rows = [row for row in _read_csv(path) if row]
-    if rows and not any(map(_is_number, rows[0])):
+    rows = [(lineno, row) for lineno, row in enumerate(_read_csv(path), start=1) if row]
+    if rows and not any(map(_is_number, rows[0][1])):
         rows = rows[1:]
     points = []
-    for lineno, row in enumerate(rows, start=1):
+    for lineno, row in rows:
         if len(row) < 2:
             raise ValidationError(f"{path}:{lineno}: need at least one coordinate and a mass")
         try:

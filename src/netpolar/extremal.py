@@ -19,7 +19,7 @@ from dataclasses import asdict, dataclass, replace
 import numpy as np
 
 from .errors import DomainError
-from .graph import DistanceMatrix, Network, geodesic_distances, validate_network
+from .graph import DistanceMatrix, Network, _checked_nodes, _network, geodesic_distances
 from .measures import bipolar_value, p_alpha, polarization
 
 PAIR_TOLERANCE = 1e-12
@@ -76,10 +76,8 @@ def merge_reduction(net: Network) -> Network:
     smallest, second = sorted(positive, key=lambda i: (masses[i], i))[:2]
     masses[second] += masses[smallest]
     masses[smallest] = 0.0
-    edges = [
-        (u, v, dist.diameter) for u, v in itertools.combinations(net.ids, 2)
-    ]
-    return validate_network(list(zip(net.ids, masses)), edges)
+    return _network(*_checked_nodes(zip(net.ids, masses)), *np.triu_indices(net.n, k=1),
+                    dist.diameter)
 
 
 def simplex_grid(n: int, units: int) -> np.ndarray:

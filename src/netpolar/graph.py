@@ -8,19 +8,18 @@ distinct from the absence of an edge.  Distances and connectivity come from
 on a sparse matrix built from coordinate triples: that keeps weight-0 edges,
 which csgraph drops from a dense matrix.
 
-Validation works by columns.  Edge endpoints become integer indices with one
-dict lookup each; self-loops, weights and duplicates are then checked as
-array operations, and the first offending record is reported with the
-message a record-at-a-time check would give.  The network keeps the sparse
-matrix built from those arrays, so the connectivity check and every
-distance computation share one matrix; a network made by ``replace`` or the
-constructor builds its own from ``edges``.
+One constructor, ``_network``, turns edges given as index columns into a
+network: the builders pass their index arrays, the other callers look each
+endpoint up once (-1 for an unknown node).  The edges are checked as array
+operations, reporting the first offending record with the message a
+record-at-a-time check would give, and the sparse matrix is built once: the
+connectivity check and every distance computation share it, and an edit of
+the masses alone keeps it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from functools import cached_property
+from dataclasses import dataclass, field, replace
 from itertools import repeat
 from operator import itemgetter
 from typing import Iterable, Mapping, Sequence
@@ -48,6 +47,8 @@ class Network:
     masses: tuple[float, ...]
     edges: tuple[Edge, ...]
     longest_path_convention: bool = False
+    # the graph as a symmetric sparse matrix, made by ``_network``
+    _csgraph: csr_matrix | None = field(default=None, compare=False, repr=False)
 
     @property
     def n(self) -> int:
@@ -59,20 +60,6 @@ class Network:
 
     def mass_vector(self) -> np.ndarray:
         return np.asarray(self.masses, dtype=float)
-
-    @cached_property
-    def _csgraph(self) -> csr_matrix:
-        """The graph as a symmetric sparse matrix.
-
-        Validation fills this in; a network built by ``replace`` or the
-        constructor starts without it and builds it from ``edges``.
-        """
-        index = {v: i for i, v in enumerate(self.ids)}
-        m = len(self.edges)
-        u = np.fromiter((index[a] for a, _, _ in self.edges), np.intp, m)
-        v = np.fromiter((index[b] for _, b, _ in self.edges), np.intp, m)
-        w = np.fromiter((x for _, _, x in self.edges), float, m)
-        return _symmetric_csr(u, v, w, self.n)
 
     def has_edge(self, u: str, v: str) -> bool:
         pair = frozenset((u, v))
@@ -88,10 +75,6 @@ class DistanceMatrix:
     diameter: float
     diameter_pair: tuple[str, str] | None
 
-    def distance(self, u: str, v: str) -> float:
-        ids = list(self.ids)
-        return float(self.d[ids.index(u), ids.index(v)])
-
 
 def validate_network(
     nodes: Sequence[tuple[str, float]],
@@ -106,7 +89,11 @@ def validate_network(
     cross-component distances.
     """
     ids, masses = _checked_nodes(nodes)
-    return _with_edges(ids, masses, *_edge_columns(edges), allow_disconnected)
+    us, vs, ws, failure = _edge_columns(edges)
+    if failure is not None:
+        _from_names(ids, masses, us, vs, ws, True)  # a fault before it comes first
+        raise failure
+    return _from_names(ids, masses, us, vs, ws, allow_disconnected)
 
 
 def _checked_nodes(nodes: Iterable) -> tuple[tuple[str, ...], tuple[float, ...]]:
@@ -146,20 +133,34 @@ def _edge_columns(edges: Iterable) -> tuple[list[str], list[str], list[float], E
     return us, vs, ws, None
 
 
-def _with_edges(ids: tuple[str, ...], masses: tuple[float, ...], us: list[str],
-                vs: list[str], ws: list[float], failure: Exception | None,
-                allow_disconnected: bool) -> Network:
-    """The network on validated nodes, after the edge checks, column by column.
-
-    The first edge in record order with a fault is reported, with the
-    faults ranked: unknown node, self-loop, weight, duplicate.  ``failure``
-    is raised if the edges before it are all valid.
-    """
-    n = len(ids)
+def _from_names(ids: tuple[str, ...], masses: tuple[float, ...], us: list[str],
+                vs: list[str], ws: list[float], allow_disconnected: bool,
+                message: str = "graph is not connected") -> Network:
+    """``_network`` on string endpoints, looked up in ``ids``."""
     index = {v: i for i, v in enumerate(ids)}
     iu = np.fromiter(map(index.get, us, repeat(-1)), np.intp, len(us))
     iv = np.fromiter(map(index.get, vs, repeat(-1)), np.intp, len(vs))
-    w = np.array(ws, dtype=float)
+    return _network(ids, masses, iu, iv, np.array(ws, dtype=float), allow_disconnected,
+                    message, (us, vs, ws))
+
+
+def _network(ids: tuple[str, ...], masses: tuple[float, ...], iu: np.ndarray, iv: np.ndarray,
+             w, allow_disconnected: bool = False, message: str = "graph is not connected",
+             columns: tuple[list[str], list[str], list[float]] | None = None) -> Network:
+    """The network on checked nodes with edges ``(ids[iu[k]], ids[iv[k]], w[k])``.
+
+    ``w`` is an array or one weight for all.  ``columns`` holds the edges as
+    given, endpoint strings and weights, for ``edges`` and the messages; an
+    index may then be -1 for an unknown node.  The first faulty
+    edge is reported, the faults ranked: unknown node, self-loop, weight,
+    duplicate.  A disconnected graph raises ``message`` unless allowed.
+    """
+    n = len(ids)
+    w = np.broadcast_to(np.asarray(w, dtype=float), np.shape(iu))
+    if columns is None:
+        labels = np.array(ids, dtype=object)
+        columns = labels[iu].tolist(), labels[iv].tolist(), w.tolist()
+    us, vs, ws = columns
     lo, hi = np.minimum(iu, iv), np.maximum(iu, iv)
     unknown = lo < 0
     loop = iu == iv
@@ -177,26 +178,16 @@ def _with_edges(ids: tuple[str, ...], masses: tuple[float, ...], us: list[str],
         if weight[k]:
             raise ValidationError(f"edge ({u!r}, {v!r}) has invalid weight {ws[k]}")
         raise ValidationError(f"duplicate edge ({u!r}, {v!r})")
-    if failure is not None:
-        raise failure
-    net = Network(ids, masses, tuple(zip(us, vs, ws)), longest_path_convention=allow_disconnected)
-    net.__dict__["_csgraph"] = _symmetric_csr(iu, iv, w, n)
-    return _require_connected(net, "graph is not connected")
+    g = _symmetric_csr(iu, iv, w, n)
+    if not allow_disconnected and connected_components(g, directed=False, return_labels=False) > 1:
+        raise DisconnectedError(message)
+    return Network(ids, masses, tuple(zip(us, vs, ws)), allow_disconnected, g)
 
 
 def _symmetric_csr(u: np.ndarray, v: np.ndarray, w: np.ndarray, n: int) -> csr_matrix:
     """Edge weights in both directions; validation rules out duplicate edges."""
     ends = (np.concatenate((u, v)), np.concatenate((v, u)))
     return csr_matrix((np.concatenate((w, w)), ends), shape=(n, n))
-
-
-def _require_connected(net: Network, message: str) -> Network:
-    """``net``, unless it is disconnected outside the longest-path convention."""
-    if net.longest_path_convention:
-        return net
-    if connected_components(net._csgraph, directed=False, return_labels=False) > 1:
-        raise DisconnectedError(message)
-    return net
 
 
 def geodesic_distances(net: Network) -> DistanceMatrix:
@@ -248,11 +239,11 @@ def average_path_length(net: Network) -> float:
 def delete_edge(net: Network, u: str, v: str) -> Network:
     """Remove edge uv; refuse if it does not exist or would disconnect."""
     pair = frozenset((u, v))
-    kept = tuple(e for e in net.edges if frozenset(e[:2]) != pair)
+    kept = [e for e in net.edges if frozenset(e[:2]) != pair]
     if len(kept) == len(net.edges):
         raise ValidationError(f"no edge ({u!r}, {v!r})")
-    return _require_connected(replace(net, edges=kept),
-                              f"deleting edge ({u!r}, {v!r}) disconnects the graph")
+    return _from_names(net.ids, net.masses, *_edge_columns(kept)[:3], net.longest_path_convention,
+                       f"deleting edge ({u!r}, {v!r}) disconnects the graph")
 
 
 def delete_node(net: Network, u: str) -> Network:
@@ -263,16 +254,20 @@ def delete_node(net: Network, u: str) -> Network:
     if not ids:
         raise ValidationError("cannot delete the only node")
     masses = tuple(m for i, m in zip(net.ids, net.masses) if i != u)
-    edges = tuple(e for e in net.edges if u not in e[:2])
-    return _require_connected(Network(ids, masses, edges, net.longest_path_convention),
-                              f"deleting node {u!r} disconnects the graph")
+    kept = [e for e in net.edges if u not in e[:2]]
+    return _from_names(ids, masses, *_edge_columns(kept)[:3], net.longest_path_convention,
+                       f"deleting node {u!r} disconnects the graph")
 
 
 def scale_masses(net: Network, lam: float) -> Network:
-    """Multiply every node mass by ``lam > 0``; the graph is unchanged."""
-    if not lam > 0:
-        raise DomainError(f"scale factor must be positive, got {lam}")
-    return replace(net, masses=tuple(m * lam for m in net.masses))
+    """Multiply every node mass by a finite ``lam > 0``; the graph is unchanged."""
+    if not 0 < lam < np.inf:
+        raise DomainError(f"scale factor must be positive and finite, got {lam}")
+    masses = tuple(m * lam for m in net.masses)
+    for i, m, scaled in zip(net.ids, net.masses, masses):
+        if not np.isfinite(scaled):
+            raise DomainError(f"scaling node {i!r}'s mass {m} by {lam} gives {scaled}")
+    return replace(net, masses=masses)
 
 
 # -- JSON wire format --------------------------------------------------------
@@ -291,7 +286,7 @@ def network_from_dict(raw: Mapping, allow_disconnected: bool = False) -> Network
         raise ValidationError("missing 'nodes'")
     ids, masses = _record_columns(raw, "nodes")
     us, vs, ws = _record_columns(raw, "edges")
-    return _with_edges(*_checked_nodes(zip(ids, masses)), us, vs, ws, None, allow_disconnected)
+    return _from_names(*_checked_nodes(zip(ids, masses)), us, vs, ws, allow_disconnected)
 
 
 # record kind -> (fields, number field's name in messages, shape message, string message);

@@ -58,8 +58,17 @@ def p_alpha(masses: np.ndarray, d: np.ndarray, alpha: float, K: float) -> np.nda
 
 
 def bipolar_value(diameter: float, total_mass: float, alpha: float, K: float) -> float:
-    """P_alpha of the bipolar split, K * diameter * 2 * (M/2)^(2+alpha), M the total mass."""
-    return K * diameter * 2.0 * (total_mass / 2.0) ** (2.0 + alpha)
+    """P_alpha of the bipolar split, K * diameter * 2 * (M/2)^(2+alpha), M the total mass.
+
+    A value beyond the float range is a :class:`DomainError`.
+    """
+    try:
+        value = K * diameter * 2.0 * (total_mass / 2.0) ** (2.0 + alpha)
+    except OverflowError:  # float ** raises where * gives inf
+        value = np.inf
+    if not np.isfinite(value):
+        raise DomainError(f"the bipolar value evaluates to {value}: it overflows the float range")
+    return value
 
 
 def _distances(net: Network, dist: DistanceMatrix | None) -> DistanceMatrix:

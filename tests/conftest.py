@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from netpolar.graph import Network, validate_network
+from netpolar.graph import DistanceMatrix, Network, validate_network
 
 
 def random_connected_network(
@@ -66,3 +66,8 @@ def brute_force_distances(net: Network) -> np.ndarray:
     for s in range(n):
         explore(s, s, 0.0, frozenset({s}))
     return best
+
+
+def distance(dm: DistanceMatrix, u: str, v: str) -> float:
+    """The geodesic distance between the nodes ``u`` and ``v`` in ``dm``."""
+    return float(dm.d[dm.ids.index(u), dm.ids.index(v)])

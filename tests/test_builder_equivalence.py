@@ -3,7 +3,9 @@
 Each case runs ``netpolar.builders`` and ``reference_builders`` on the same
 seeded random input and requires the same outcome: equal networks with the
 same bits in every weight and mass, or the same error class with the same
-message.  The cases run in this process at the default BLAS thread count;
+message.  A built network must also equal ``fresh(net)``, its fields
+validated again, with the same distance matrix.  The cases run in this
+process at the default BLAS thread count;
 ``test_cases_hold_with_blas_on_one_thread`` runs them again with BLAS on one
 thread, as the benchmark runs.
 """
@@ -22,6 +24,8 @@ import netpolar.builders as fast
 import reference_builders as ref
 from netpolar.builders import MassPoints, PreferenceProfile, VoteMatrix
 from netpolar.errors import DisconnectedError, ValidationError
+from netpolar.graph import Network, geodesic_distances
+from test_validation_equivalence import fresh
 
 NORMS = ("manhattan", "euclidean", "chebyshev")
 
@@ -39,7 +43,16 @@ def assert_same(name, *args, **kwargs):
     got = outcome(getattr(fast, name), *args, **kwargs)
     want = outcome(getattr(ref, name), *args, **kwargs)
     assert got == want
+    if isinstance(got[0], Network):
+        assert_fresh(got[0])
     return got
+
+
+def assert_fresh(net):
+    """``net`` validated afresh from its fields: equal, with the same bits and distances."""
+    again = fresh(net)
+    assert outcome(lambda: again) == outcome(lambda: net)
+    assert (geodesic_distances(again).d == geodesic_distances(net).d).all()
 
 
 def random_votes(rng, n_max=30, k_max=10, density=0.5):

@@ -28,6 +28,8 @@ from netpolar.errors import DisconnectedError, DomainError, ValidationError
 from netpolar.graph import geodesic_distances
 from netpolar.measures import polarization
 
+from conftest import distance
+
 # Eight voters on three bills; voters R1..R4 form party A, R5..R8 party B.
 ROLL_CALL = {
     "R1": (1, 0, 0), "R2": (1, 0, 0), "R3": (1, 0, 0), "R4": (0, 1, 0),
@@ -79,9 +81,15 @@ class TestLine:
         dm = geodesic_distances(net)
         order = sorted(xs)
         for i, j in itertools.combinations(range(4), 2):
-            assert dm.distance(f"({order[i]:g})", f"({order[j]:g})") == pytest.approx(
+            assert distance(dm, f"({order[i]:g})", f"({order[j]:g})") == pytest.approx(
                 abs(order[i] - order[j]), abs=1e-12
             )
+
+    def test_overflowing_gap_is_an_invalid_weight(self):
+        points = MassPoints((((1e308,), 1.0), ((-1e308,), 1.0)))
+        with pytest.raises(ValidationError) as info:
+            build_line(points)
+        assert str(info.value) == "edge ('(-1e+308)', '(1e+308)') has invalid weight inf"
 
     def test_unsorted_input_is_sorted(self):
         net = build_line(MassPoints((((5.0,), 1.0), ((1.0,), 2.0), ((3.0,), 3.0))))
@@ -148,7 +156,7 @@ class TestVoteHypercube:
         for a in net.ids:
             for b in net.ids:
                 hamming = sum(x != y for x, y in zip(a, b))
-                assert dm.distance(a, b) == hamming
+                assert distance(dm, a, b) == hamming
 
     def test_every_node_has_degree_k(self):
         net = build_vote_hypercube(roll_call_votes())
@@ -177,11 +185,11 @@ class TestRepresentatives:
 
     def test_unlinked_pair_connected_through_intermediary(self):
         dm = geodesic_distances(build_representatives(roll_call_votes()))
-        assert dm.distance("R4", "R7") == pytest.approx(1.0, abs=1e-12)
+        assert distance(dm, "R4", "R7") == pytest.approx(1.0, abs=1e-12)
 
     def test_identical_records_at_distance_zero(self):
         dm = geodesic_distances(build_representatives(roll_call_votes()))
-        assert dm.distance("R1", "R2") == 0.0
+        assert distance(dm, "R1", "R2") == 0.0
 
     def test_unit_masses(self):
         net = build_representatives(roll_call_votes())
@@ -302,7 +310,7 @@ class TestKemeny:
         dm = geodesic_distances(net)
         for p in itertools.permutations("abc"):
             for q in itertools.permutations("abc"):
-                assert dm.distance(ranking_id(p), ranking_id(q)) == kemeny_distance(p, q)
+                assert distance(dm, ranking_id(p), ranking_id(q)) == kemeny_distance(p, q)
 
     def test_reversal_attains_diameter(self):
         dm = geodesic_distances(build_preference_kemeny(PROFILE))
@@ -329,15 +337,22 @@ class TestLattice:
 
     def test_manhattan_distances(self):
         dm = geodesic_distances(build_lattice(self.POINTS, norm="manhattan"))
-        assert dm.distance("(0,0)", "(1,1)") == 2.0
+        assert distance(dm, "(0,0)", "(1,1)") == 2.0
 
     def test_euclidean_distances(self):
         dm = geodesic_distances(build_lattice(self.POINTS, norm="euclidean"))
-        assert dm.distance("(0,0)", "(1,1)") == pytest.approx(np.sqrt(2.0), rel=1e-15)
+        assert distance(dm, "(0,0)", "(1,1)") == pytest.approx(np.sqrt(2.0), rel=1e-15)
 
     def test_chebyshev_distances(self):
         dm = geodesic_distances(build_lattice(self.POINTS, norm="chebyshev"))
-        assert dm.distance("(0,0)", "(1,1)") == 1.0
+        assert distance(dm, "(0,0)", "(1,1)") == 1.0
+
+    @pytest.mark.parametrize("norm", ["manhattan", "euclidean", "chebyshev"])
+    def test_overflowing_norm_is_an_invalid_weight(self, norm):
+        points = MassPoints((((1e308, 0.0), 1.0), ((-1e308, 0.0), 1.0)))
+        with pytest.raises(ValidationError) as info:
+            build_lattice(points, norm=norm)
+        assert str(info.value) == "edge ('(1e+308,0)', '(-1e+308,0)') has invalid weight inf"
 
     def test_collinear_euclidean_matches_line_builder(self):
         pts = MassPoints((((0.0,), 1.0), ((2.0,), 2.0), ((5.0,), 1.0)))
@@ -420,6 +435,19 @@ class TestCsvLoaders:
         path.write_text("0,1\nx,2\n")
         with pytest.raises(ValidationError, match="non-numeric field"):
             load_mass_points_csv(path)
+
+    def test_mass_points_errors_name_the_file_line(self, tmp_path):
+        # blank rows and the header still count as lines, as in the vote loader
+        path = tmp_path / "hdr.csv"
+        path.write_text("x,mass\n0,1\n\n2,abc\n")
+        with pytest.raises(ValidationError, match=r"hdr\.csv:4: non-numeric field"):
+            load_mass_points_csv(path)
+        path.write_text("\nx,mass\n\n0,1\n5\n")
+        with pytest.raises(ValidationError, match=r"hdr\.csv:5: need at least one coordinate"):
+            load_mass_points_csv(path)
+        path.write_text("voter,bill_1\nalice,1\n\nbob,abc\n")
+        with pytest.raises(ValidationError, match=r"hdr\.csv:4: vote entries must be 0/1"):
+            load_votes_csv(path)
 
     def test_mass_points_first_row_with_a_number_is_data(self, tmp_path):
         path = tmp_path / "pts.csv"

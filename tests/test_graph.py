@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from netpolar.errors import DisconnectedError, DomainError, ValidationError
+from netpolar.extremal import bipolar_distribution
 from netpolar.graph import (
     average_path_length,
     delete_edge,
@@ -17,7 +18,8 @@ from netpolar.graph import (
 )
 from netpolar.measures import oracle_distances
 
-from conftest import brute_force_distances, random_connected_network
+from conftest import brute_force_distances, distance, random_connected_network
+from test_validation_equivalence import fresh
 
 
 def line(*masses, gap=1.0):
@@ -178,7 +180,7 @@ class TestGeodesics:
 
     def test_distance_accessor(self):
         dm = geodesic_distances(line(1.0, 1.0, 1.0, gap=2.0))
-        assert dm.distance("n0", "n2") == 4.0
+        assert distance(dm, "n0", "n2") == 4.0
 
 
 class TestOverflow:
@@ -270,6 +272,24 @@ class TestEdits:
         for lam in (0.0, -1.0):
             with pytest.raises(DomainError, match="scale factor must be positive"):
                 scale_masses(line(1.0, 1.0), lam)
+
+    def test_scale_masses_rejects_non_finite(self):
+        for lam in (float("inf"), float("nan")):
+            with pytest.raises(DomainError, match="scale factor must be positive and finite"):
+                scale_masses(line(0.0, 1e300), lam)
+        with pytest.raises(DomainError, match="scaling node 'n1'"):
+            scale_masses(line(0.0, 1e300), 1e10)
+
+    def test_mass_edits_keep_the_graph_of_a_fresh_validation(self):
+        rng = np.random.default_rng(17)
+        for _ in range(40):
+            net = random_connected_network(rng, n_max=9)
+            edits = [scale_masses(net, float(rng.uniform(0.1, 10.0)))]
+            if net.total_mass > 0:
+                edits.append(bipolar_distribution(net))
+            for out in edits:
+                assert out._csgraph is net._csgraph
+                assert (geodesic_distances(out).d == geodesic_distances(fresh(out)).d).all()
 
 
 class TestWireFormat:

@@ -176,6 +176,13 @@ class TestBipolarReference:
         # d * 2 * (M/2)^3 with d = 1, M = 1
         assert bipolar_maximum_value(two_point(0.3, 0.7)) == pytest.approx(0.25, abs=1e-15)
 
+    def test_overflow_is_a_domain_error(self):
+        # (M/2)^(2+alpha) = 1e360 raises OverflowError in float arithmetic
+        with pytest.raises(DomainError, match="bipolar value evaluates to inf"):
+            bipolar_maximum_value(two_point(1e120, 1e120))
+        with pytest.raises(DomainError, match="bipolar value evaluates to inf"):
+            bipolar_value(1e300, 1e100, 1.0, 1.0)  # the product overflows, not the power
+
 
 class TestPAlpha:
     def test_batch_matches_direct_evaluation(self):
