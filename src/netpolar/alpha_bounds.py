@@ -12,9 +12,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .errors import ConvergenceFailureError, DomainError
+
+# scipy.optimize is imported where brentq is called: it is slow to load, and
+# only the root searches need it, not every import of netpolar
 
 MAX_ITERATIONS = 200
 
@@ -40,16 +42,20 @@ class AlphaInterval:
                 "tolerance": self.tolerance}
 
 
+def _check_alpha(alpha: float) -> None:
+    if not 0 <= alpha < np.inf:
+        raise DomainError(f"alpha must be non-negative and finite, got {alpha}")
+
+
 def f_eval(z, alpha: float, c: float):
     """Evaluate f(z, alpha, c); vectorized over ``z``.
 
-    Defined for z >= 0, alpha >= 0 and c in [1, 2].
+    Defined for finite z >= 0, finite alpha >= 0 and c in [1, 2].
     """
     z = np.asarray(z, dtype=float)
-    if np.any(z < 0):
-        raise DomainError("z must be non-negative")
-    if alpha < 0:
-        raise DomainError("alpha must be non-negative")
+    if not ((0 <= z) & (z < np.inf)).all():
+        raise DomainError("z must be non-negative and finite")
+    _check_alpha(alpha)
     if not 1.0 <= c <= 2.0:
         raise DomainError("c must lie in [1, 2]")
     out = (1.0 + alpha) * (
@@ -70,8 +76,7 @@ def v_eval(alpha: float, c: float) -> tuple[float, float]:
     bracket is reported as +inf.  alpha = 0 reduces to a linear function of
     z: unbounded for c < 2 (reported as +inf), constant -1 at c = 2.
     """
-    if alpha < 0:
-        raise DomainError("alpha must be non-negative")
+    _check_alpha(alpha)
     if not 1.0 < c <= 2.0:
         raise DomainError("c must lie in (1, 2]")
     if alpha == 0.0:
@@ -93,6 +98,7 @@ def v_eval(alpha: float, c: float) -> tuple[float, float]:
         z_hi *= 2.0
     else:
         return float("inf"), float("inf")
+    from scipy.optimize import brentq
     root = brentq(stationarity, z_lo, z_hi, xtol=1e-15, rtol=1e-15)
     return max((float(f_eval(root, alpha, c)), float(root)), (-0.5, 0.0))
 
@@ -106,6 +112,7 @@ def _check_c_tol(c: float, tol: float) -> None:
 
 def _sign_change(c: float, lo: float, hi: float, tol: float, name: str) -> float:
     """The alpha in [lo, hi] where v(., c) changes sign, to within ``tol``."""
+    from scipy.optimize import brentq
     root, result = brentq(lambda a: v_eval(a, c)[0], lo, hi, xtol=tol,
                           maxiter=MAX_ITERATIONS, full_output=True, disp=False)
     if not result.converged:
@@ -155,8 +162,7 @@ def lemma1_witness(alpha: float, budget: int = 64) -> tuple[float, float]:
     The search scans z over (1/alpha, 1) for alpha > 1 and (1, 1/alpha)
     for alpha < 1, lowering c toward 1 until positivity appears.
     """
-    if alpha < 0:
-        raise DomainError("alpha must be non-negative")
+    _check_alpha(alpha)
     if alpha == 1.0:
         raise DomainError("no witness exists at alpha = 1")
     if alpha > 1.0:

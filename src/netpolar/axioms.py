@@ -4,6 +4,7 @@ Each scenario is a two- or three-point configuration given by masses and
 pairwise geodesic distances; both sides of an axiom's conclusion are
 evaluated as explicit P_alpha sums and compared.  Randomized suites sample
 valid scenarios from seeded ranges and report the first failing witness.
+Scenarios and sampling ranges check themselves when they are made.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ import numpy as np
 
 from .alpha_bounds import f_eval
 from .errors import ConvergenceFailureError, DomainError
+from .measures import check_params
 
 MAX_A1_DRAWS = 100_000  # draws per A1 scenario before the sampler gives up
 
@@ -44,9 +46,8 @@ class AxiomScenario:
     perturbation: float | None = None
     c_threshold: float | None = None
 
-    def validate(self) -> None:
-        if not 0 < self.alpha < np.inf:
-            raise DomainError(f"alpha must be positive and finite, got {self.alpha}")
+    def __post_init__(self):
+        check_params(alpha=self.alpha)
         if self.kind == "A1":
             if not (self.p > self.q > 0):
                 raise DomainError("A1 needs pi_x > pi_y = pi_z > 0")
@@ -78,6 +79,9 @@ class AxiomScenario:
                 raise DomainError("A3 needs reallocation in (0, pi_x / 2]")
             if self.kind == "A3c" and self.c_threshold is None:
                 raise DomainError("A3c needs a threshold c")
+            if self.kind == "A3c" and self.c_bar < self.c_threshold:
+                raise DomainError(
+                    f"lateral ratio {self.c_bar} below the fixed threshold {self.c_threshold}")
         else:
             raise DomainError(f"unknown scenario kind {self.kind!r}")
 
@@ -124,7 +128,7 @@ def check_axiom1(s: AxiomScenario, K: float = 1.0) -> AxiomVerdict:
     """
     if s.kind != "A1":
         raise DomainError(f"expected kind A1, got {s.kind!r}")
-    s.validate()
+    check_params(K=K)
     a = s.alpha
     before = _p3((s.p, s.q, s.q), (s.d_xy, s.d_xz, s.d_yz), a, K)
     d_merged = (s.d_xy + s.d_xz) / 2.0
@@ -139,7 +143,7 @@ def check_axiom2(s: AxiomScenario, K: float = 1.0) -> AxiomVerdict:
     """Shift the middle group toward the smaller extreme by the given step."""
     if s.kind != "A2":
         raise DomainError(f"expected kind A2, got {s.kind!r}")
-    s.validate()
+    check_params(K=K)
     delta = s.perturbation
     masses = (s.p, s.q, s.r)
     before = _p3(masses, (s.d_xy, s.d_xz, s.d_yz), s.alpha, K)
@@ -156,11 +160,7 @@ def check_axiom3(s: AxiomScenario, K: float = 1.0) -> AxiomVerdict:
     """
     if s.kind not in ("A3", "A3c"):
         raise DomainError(f"expected kind A3 or A3c, got {s.kind!r}")
-    s.validate()
-    if s.kind == "A3c" and s.c_bar < s.c_threshold:
-        raise DomainError(
-            f"lateral ratio {s.c_bar} below the fixed threshold {s.c_threshold}"
-        )
+    check_params(K=K)
     delta = s.perturbation
     dists = (s.d, s.d, s.c_bar * s.d)
     before = _p3((s.p, s.q, s.q), dists, s.alpha, K)
@@ -181,7 +181,7 @@ class SamplerRanges:
     dist: tuple[float, float] = (0.1, 10.0)
     c_bar: tuple[float, float] = (1.0, 2.0)  # open at the left end
 
-    def validate(self) -> None:
+    def __post_init__(self):
         for name, (lo, hi) in (("mass", self.mass), ("dist", self.dist), ("c_bar", self.c_bar)):
             if not (0 < lo < hi):
                 raise DomainError(f"empty {name} range ({lo}, {hi})")
@@ -250,12 +250,10 @@ def run_suite(
     The witness, when present, is the lowest-index failing scenario together
     with its verdict.
     """
-    if not 0 < alpha < np.inf:
-        raise DomainError(f"alpha must be positive and finite, got {alpha}")
+    check_params(K, alpha)
     if count < 1:
         raise DomainError("count must be at least 1")
     ranges = ranges or SamplerRanges()
-    ranges.validate()
     if axiom not in _CHECKS:
         raise DomainError(f"unknown axiom {axiom!r}")
     if seed < 0:

@@ -155,6 +155,8 @@ def _cmd_axioms(args, usage_error) -> int:
 
 
 def _cmd_alpha_bounds(args) -> int:
+    if args.c is None and args.c_list is None:
+        args.c = 2.0  # the default ratio, echoed only when it is used
     intervals = [admissible_interval(c, tol=args.tol) for c in args.c_list or [args.c]]
     last = intervals[-1]
     lower = "none" if last.lower is None else f"{last.lower:.6g}"
@@ -235,7 +237,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("alpha-bounds", help="admissible exponent interval(s)")
     ratio = p.add_mutually_exclusive_group()
-    ratio.add_argument("--c", type=float, default=2.0)
+    ratio.add_argument("--c", type=float, help="lateral-distance ratio (default 2.0)")
     ratio.add_argument("--c-list", type=float, nargs="+", default=None, dest="c_list")
     p.add_argument("--tol", type=float, default=1e-9)
     p.add_argument("--out", default=None)

@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import DomainError
 from .graph import DistanceMatrix, Network, _checked_nodes, _network, geodesic_distances
-from .measures import bipolar_value, p_alpha, polarization
+from .measures import _distances, bipolar_value, check_params, p_alpha, polarization
 
 PAIR_TOLERANCE = 1e-12
 MAX_GRID_NODES = 6
@@ -50,9 +50,7 @@ def bipolar_distribution(net: Network, dist: DistanceMatrix | None = None) -> Ne
     total = net.total_mass
     if total <= 0:
         raise DomainError("bipolar distribution needs positive total mass")
-    if dist is None:
-        dist = geodesic_distances(net)
-    u, v = dist.diameter_pair
+    u, v = _distances(net, dist).diameter_pair
     masses = tuple(
         total / 2.0 if i in (u, v) else 0.0 for i in net.ids
     )
@@ -136,8 +134,7 @@ def verify_bipolar_max(
         raise DomainError(f"{net.n} nodes exceed the exhaustive-mode limit {MAX_GRID_NODES}")
     if net.n < 2:
         raise DomainError("need at least two nodes")
-    if not 0 < alpha < np.inf:
-        raise DomainError(f"alpha must be positive and finite, got {alpha}")
+    check_params(alpha=alpha)
     # a step outside (0, 1], nan, or one whose inverse overflows has no units
     inverse = 1.0 / grid_step if 0 < grid_step <= 1 else 0.0
     units = round(inverse) if inverse < np.inf else 0
@@ -181,8 +178,7 @@ def counterexample_search(
     Returns the first witness found as a dict, or ``None`` when the whole
     grid is dominated by the bipolar value for every eps.
     """
-    if not 0 < alpha < np.inf:
-        raise DomainError(f"alpha must be positive and finite, got {alpha}")
+    check_params(alpha=alpha)
     if alpha == 1.0:
         raise DomainError("the bipolar distribution is maximal at alpha = 1")
     units = round(1.0 / DEFAULT_MASS_STEP)

@@ -200,6 +200,9 @@ def geodesic_distances(net: Network) -> DistanceMatrix:
     range is a :class:`DomainError`, never a disconnection.
     """
     g = net._csgraph
+    if g is None:
+        raise ValidationError("network has no graph: make it with validate_network, "
+                              "network_from_dict or a builder")
     d = shortest_path(g, directed=False)
     # Dijkstra may sum one path in a different order from each end
     np.minimum(d, d.T, out=d)

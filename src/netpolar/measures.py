@@ -26,10 +26,15 @@ class MeasureParams:
     alpha: float = 1.0
 
     def __post_init__(self):
-        if not 0 < self.K < np.inf:
-            raise DomainError(f"K must be positive and finite, got {self.K}")
-        if not 0 < self.alpha < np.inf:
-            raise DomainError(f"alpha must be positive and finite, got {self.alpha}")
+        check_params(self.K, self.alpha)
+
+
+def check_params(K: float = 1.0, alpha: float = 1.0) -> None:
+    """The domain of :class:`MeasureParams`, for K and alpha given as plain floats."""
+    if not 0 < K < np.inf:
+        raise DomainError(f"K must be positive and finite, got {K}")
+    if not 0 < alpha < np.inf:
+        raise DomainError(f"alpha must be positive and finite, got {alpha}")
 
 
 @dataclass(frozen=True)

@@ -274,3 +274,19 @@ class TestLemma1Witness:
     def test_exhausted_budget_reported(self):
         with pytest.raises(ConvergenceFailureError, match="no positivity witness found for alpha = 1.0001"):
             lemma1_witness(1.0001, budget=1)
+
+
+class TestExponentDomain:
+    @pytest.mark.parametrize("alpha", [-0.5, np.nan, np.inf])
+    @pytest.mark.parametrize("call", [lambda a: f_eval(0.5, a, 1.5), lambda a: v_eval(a, 1.5),
+                                      lambda a: lemma1_witness(a)],
+                             ids=["f_eval", "v_eval", "lemma1_witness"])
+    def test_exponent_outside_its_domain_is_a_domain_error(self, call, alpha):
+        with pytest.raises(DomainError,
+                           match=f"^alpha must be non-negative and finite, got {alpha}$"):
+            call(alpha)
+
+    @pytest.mark.parametrize("z", [-0.1, np.nan, np.inf, [0.5, np.nan]])
+    def test_z_outside_its_domain_is_a_domain_error(self, z):
+        with pytest.raises(DomainError, match="^z must be non-negative and finite$"):
+            f_eval(z, 1.0, 1.5)

@@ -261,3 +261,48 @@ class TestSuites:
         with pytest.raises(DomainError, match="empty mass range"):
             run_suite("A1", alpha=1.0, count=10, seed=1,
                       ranges=SamplerRanges(mass=(2.0, 1.0)))
+
+
+BAD_K = [-1.0, 0.0, np.nan, np.inf]
+
+
+class TestScenariosCheckThemselves:
+    @pytest.mark.parametrize("make, message", [
+        (lambda: a1(p=1.0, q=1.0), "A1 needs pi_x > pi_y = pi_z > 0"),
+        (lambda: a2(delta=5.0), "A2 shift outside the admissible window"),
+        (lambda: a3(c_bar=1.0), "A3 needs lateral ratio c_bar > 1"),
+        (lambda: a3(alpha=np.nan), "alpha must be positive and finite, got nan"),
+        (lambda: a3(kind="A3c"), "A3c needs a threshold c"),
+        (lambda: a3(kind="A3c", c_bar=1.2, threshold=1.5),
+         "lateral ratio 1.2 below the fixed threshold 1.5"),
+        (lambda: AxiomScenario("A9", 1.0, 1.0, 0.5), "unknown scenario kind 'A9'"),
+    ], ids=["A1-masses", "A2-window", "A3-ratio", "alpha-nan", "A3c-no-threshold",
+            "A3c-below-threshold", "unknown-kind"])
+    def test_invalid_scenario_raises_when_made(self, make, message):
+        with pytest.raises(DomainError) as exc:
+            make()
+        assert str(exc.value) == message
+
+    @pytest.mark.parametrize("field, lo, hi", [("mass", 2.0, 1.0), ("dist", 0.0, 1.0),
+                                               ("c_bar", 1.5, 1.5)])
+    def test_invalid_ranges_raise_when_made(self, field, lo, hi):
+        with pytest.raises(DomainError) as exc:
+            SamplerRanges(**{field: (lo, hi)})
+        assert str(exc.value) == f"empty {field} range ({lo}, {hi})"
+
+
+class TestK:
+    @pytest.mark.parametrize("K", BAD_K)
+    @pytest.mark.parametrize("check, scenario", [(check_axiom1, a1()), (check_axiom2, a2()),
+                                                 (check_axiom3, a3())],
+                             ids=["A1", "A2", "A3"])
+    def test_checks_reject_K_outside_its_domain(self, check, scenario, K):
+        with pytest.raises(DomainError, match=f"^K must be positive and finite, got {K}$"):
+            check(scenario, K=K)
+
+    @pytest.mark.parametrize("K", BAD_K)
+    @pytest.mark.parametrize("axiom", ["A1", "A2", "A3", "A3c"])
+    def test_suites_reject_K_outside_its_domain(self, axiom, K):
+        c = 1.5 if axiom == "A3c" else None
+        with pytest.raises(DomainError, match=f"^K must be positive and finite, got {K}$"):
+            run_suite(axiom, alpha=1.0, count=5, seed=1, c=c, K=K)

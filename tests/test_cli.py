@@ -744,3 +744,36 @@ class TestMalformedBuildInputFuzz:
             assert code in (1, 2)
             assert "Traceback" not in err.getvalue() and "error:" in err.getvalue()
             assert not out.exists()
+
+
+class TestCheckedWhereDefined:
+    @pytest.mark.parametrize("K", ["-1", "0", "nan", "inf"])
+    def test_axioms_K_outside_its_domain_is_one_error_line(self, K, tmp_path, capsys):
+        out = tmp_path / "axioms.json"
+        assert main(["axioms", "--suite", "A2", "--seed", "1", "--samples", "20", "--K", K,
+                     "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: K must be positive and finite, got {float(K)}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv, c", [([], 2.0), (["--c", "1.5"], 1.5),
+                                         (["--c-list", "1.5"], None)],
+                             ids=["default", "c", "c-list"])
+    def test_alpha_bounds_echoes_the_c_it_used(self, argv, c, tmp_path, capsys):
+        out = tmp_path / "ab.json"
+        assert main(["alpha-bounds", *argv, "--tol", "1e-6", "--out", str(out)]) == 0
+        report = json.loads(out.read_text())
+        assert report["config"]["c"] == c
+        assert [iv["c"] for iv in report["intervals"]] == [c or 1.5]
+
+    def test_importing_the_cli_leaves_scipy_optimize_unloaded(self):
+        # only the exponent bounds' root searches import it, when they run
+        env = {**os.environ, "PYTHONPATH": str(Path(netpolar.__file__).resolve().parents[1])}
+        proc = subprocess.run(
+            [sys.executable, "-c", "import sys, netpolar.cli; "
+                                   "print('scipy.optimize' in sys.modules)"],
+            capture_output=True, text=True, timeout=60, env=env,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "False\n"

@@ -297,3 +297,11 @@ class TestDiameterDominance:
             g2 = scale_masses(g2, total1 / total2)
             assert diameter_dominance_check(g1, g2)
             done += 1
+
+
+class TestDistancesMeetTheirNetwork:
+    def test_bipolar_distribution_rejects_another_networks_matrix(self):
+        net = unit_complete(3)
+        other = eps_triangle(0.5)
+        with pytest.raises(DomainError, match="^distance matrix does not match the network$"):
+            bipolar_distribution(net, geodesic_distances(other))

@@ -337,3 +337,14 @@ class TestWireFormat:
     def test_not_an_object(self):
         with pytest.raises(ValidationError, match="must be a JSON object"):
             network_from_dict([1, 2, 3])
+
+
+class TestNetworkWithoutAGraph:
+    def test_geodesic_distances_names_the_constructors(self):
+        from netpolar.graph import Network
+
+        net = Network(("a", "b"), (1.0, 1.0), (("a", "b", 1.0),))
+        with pytest.raises(ValidationError, match="^network has no graph: make it with "
+                                                  "validate_network, network_from_dict "
+                                                  "or a builder$"):
+            geodesic_distances(net)
