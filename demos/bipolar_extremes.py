@@ -1,9 +1,10 @@
 """Bipolar distributions as the extremes of polarization at alpha = 1.
 
 On any fixed graph, splitting all mass across one diameter pair maximizes
-P_1.  An exhaustive simplex grid certifies this on a small example; off
-alpha = 1, a grid search over the near-equilateral three-node family looks
-for distributions that beat the bipolar split.
+P_1.  An exhaustive simplex grid certifies this on a small example.  Off
+alpha = 1, distributions that beat the bipolar split on the near-equilateral
+three-node family are constructed in closed form; they exist exactly for
+alpha outside [ALPHA_STAR, 2], ALPHA_STAR = ln 3 / ln(3/2) - 2 = 0.7095...
 """
 
 from netpolar import counterexample_search, validate_network, verify_bipolar_max
@@ -23,7 +24,7 @@ def main() -> None:
     for alpha in (0.5, 1.5):
         witness = counterexample_search(alpha)
         if witness is None:
-            print(f"alpha = {alpha}: no grid distribution beats the bipolar split")
+            print(f"alpha = {alpha}: no distribution on the family beats the bipolar split")
         else:
             print(f"alpha = {alpha}: masses {[round(m, 4) for m in witness['masses']]} "
                   f"reach {witness['value']:.6f} > bipolar {witness['bipolar_value']:.6f} "

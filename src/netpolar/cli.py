@@ -249,7 +249,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--step", type=float, default=1.0 / 6.0)
     p.set_defaults(func=_cmd_extremal)
 
-    p = sub.add_parser("counterexample", help="search for bipolar-beating distributions")
+    p = sub.add_parser("counterexample", help="construct a bipolar-beating distribution")
     p.add_argument("--alpha", type=float, required=True)
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_counterexample)

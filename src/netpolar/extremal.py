@@ -4,9 +4,9 @@ For alpha = 1 the symmetric bipolar distribution (total mass split equally
 across one diameter pair) maximizes polarization over all distributions on
 a fixed graph.  This module builds that distribution, implements the
 constructive merge step used to prove it, certifies maximality over
-exhaustive simplex grids, and searches the three-node family
-g_xy = g_xz <= g_yz = g_xz + eps for distributions beating the bipolar one
-when alpha != 1.
+exhaustive simplex grids, and constructs on the three-node family
+g_xy = g_xz = b, g_yz = b + eps distributions beating the bipolar one
+for every alpha outside [ALPHA_STAR, 2], ALPHA_STAR = ln 3 / ln 1.5 - 2.
 """
 
 from __future__ import annotations
@@ -83,7 +83,7 @@ def simplex_grid(n: int, units: int) -> np.ndarray:
 
     Rows come in lexicographic order, the order of
     ``itertools.combinations(range(units + n - 1), n - 1)`` read as
-    divider positions; the grid searches break ties by this order.
+    divider positions; verify_bipolar_max breaks ties by this order.
     """
     parts = np.zeros((1, 0), dtype=np.int32)
     rest = np.array([units], dtype=np.int32)
@@ -161,46 +161,44 @@ def verify_bipolar_max(
     )
 
 
-DEFAULT_EPS_GRID = (1e-3, 1e-2, 0.05, 0.1)
-DEFAULT_MASS_STEP = 1.0 / 64.0
+# where the thirds stop beating the bipolar split: 3 (2/3)^(2 + alpha) = 1
+ALPHA_STAR = math.log(3.0) / math.log(1.5) - 2.0
 # P_alpha and the bipolar value both scale linearly with the distances, so
 # fixing b loses nothing: eps is measured in units of b.
 BASE_DISTANCE = 1.0
 
 
-def counterexample_search(
-    alpha: float,
-    eps_grid: tuple[float, ...] = DEFAULT_EPS_GRID,
-) -> dict | None:
-    """Search three-node graphs g_xy = g_xz = b, g_yz = b + eps for a
-    distribution that beats the symmetric bipolar one at the given exponent.
-
-    Returns the first witness found as a dict, or ``None`` when the whole
-    grid is dominated by the bipolar value for every eps.
+def counterexample_search(alpha: float) -> dict | None:
+    """Construct a distribution on g_xy = g_xz = b, g_yz = b + eps beating the
+    symmetric bipolar one.  Below ALPHA_STAR the thirds win for eps under
+    3b(r - 1)/(3 - r), r = 3 (2/3)^(2 + alpha), and eps is half that bound.
+    Above 2, x(1 - x)(x^alpha + (1 - x)^alpha) has a local minimum at 1/2, so
+    the best masses (0, x, 1 - x) of a fixed scan win at any eps; eps = b.
+    ``None`` on [ALPHA_STAR, 2], where no witness exists, and wherever the
+    float value does not exceed the bipolar value.
     """
     check_params(alpha=alpha)
     if alpha == 1.0:
         raise DomainError("the bipolar distribution is maximal at alpha = 1")
-    units = round(1.0 / DEFAULT_MASS_STEP)
-    grid = simplex_grid(3, units)
     b = BASE_DISTANCE
-    for eps in eps_grid:
-        if eps > b:
-            continue  # would break the triangle inequality
-        d = np.array([[0.0, b, b], [b, 0.0, b + eps], [b, b + eps, 0.0]])
-        values, bipolar = _evaluate_grid(grid, d, alpha)
-        beating = np.flatnonzero(values > bipolar)
-        if beating.size:
-            k = int(beating[0])
-            return {
-                "eps": eps,
-                "base_distance": b,
-                "alpha": alpha,
-                "masses": [float(x) for x in grid[k]],
-                "value": float(values[k]),
-                "bipolar_value": bipolar,
-            }
-    return None
+    if alpha < ALPHA_STAR:
+        r = 3.0 * (2.0 / 3.0) ** (2.0 + alpha)
+        eps = 1.5 * b * (r - 1.0) / (3.0 - r)
+        masses = np.full(3, 1.0 / 3.0)
+    elif alpha > 2.0:
+        # the best 1/2 - x shrinks as sqrt(3 (alpha - 2) / 16) toward alpha = 2
+        xs = 0.5 - 0.5 * np.geomspace(1e-6, 1.0, 400)[:-1]
+        x = xs[np.argmax(xs * (1.0 - xs) * (xs ** alpha + (1.0 - xs) ** alpha))]
+        eps, masses = b, np.array([0.0, x, 1.0 - x])
+    else:
+        return None
+    d = np.array([[0.0, b, b], [b, 0.0, b + eps], [b, b + eps, 0.0]])
+    value = float(p_alpha(masses, d, alpha, 1.0))
+    bipolar = bipolar_value(b + eps, 1.0, alpha, 1.0)
+    if not value > bipolar:
+        return None
+    return {"eps": eps, "base_distance": b, "alpha": alpha,
+            "masses": [float(m) for m in masses], "value": value, "bipolar_value": bipolar}
 
 
 def diameter_dominance_check(g1: Network, g2: Network) -> bool:

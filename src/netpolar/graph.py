@@ -74,6 +74,7 @@ class DistanceMatrix:
     d: np.ndarray
     diameter: float
     diameter_pair: tuple[str, str] | None
+    _csgraph: csr_matrix = field(compare=False, repr=False)  # the source network's graph
 
 
 def validate_network(
@@ -216,13 +217,13 @@ def geodesic_distances(net: Network) -> DistanceMatrix:
         d[unreached] = d[~unreached].max()
     d.flags.writeable = False
     if net.n < 2:
-        return DistanceMatrix(net.ids, d, 0.0, None)
+        return DistanceMatrix(net.ids, d, 0.0, None, g)
     # d is symmetric with a zero diagonal, so the first maximum in row-major
     # order is the first i < j pair, unless every distance is 0
     i, j = divmod(int(np.argmax(d)), net.n)
     if i == j:
         i, j = 0, 1
-    return DistanceMatrix(net.ids, d, float(d[i, j]), (net.ids[i], net.ids[j]))
+    return DistanceMatrix(net.ids, d, float(d[i, j]), (net.ids[i], net.ids[j]), g)
 
 
 def diameter(net: Network) -> tuple[tuple[str, str] | None, float]:

@@ -77,10 +77,10 @@ def bipolar_value(diameter: float, total_mass: float, alpha: float, K: float) ->
 
 
 def _distances(net: Network, dist: DistanceMatrix | None) -> DistanceMatrix:
-    """``dist`` if it belongs to ``net``, the geodesic distances of ``net`` if it is absent."""
+    """``dist`` if it was computed on ``net``'s graph, that graph's distances if it is absent."""
     if dist is None:
         return geodesic_distances(net)
-    if dist.ids != net.ids:
+    if dist._csgraph is not net._csgraph:
         raise DomainError("distance matrix does not match the network")
     return dist
 
@@ -93,7 +93,7 @@ def polarization(
     """Evaluate P_alpha by the exact double sum over ordered node pairs.
 
     ``dist`` may carry precomputed distances for ``net``; it is recomputed
-    when absent and rejected when it belongs to a different node set.  A
+    when absent and rejected when it was computed on another graph.  A
     sum that overflows the float range is a :class:`DomainError`, not a
     silent ``inf`` or ``nan``.
     """

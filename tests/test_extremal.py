@@ -2,12 +2,14 @@
 
 import itertools
 import json
+import math
 
 import numpy as np
 import pytest
 
 from netpolar.errors import DomainError
 from netpolar.extremal import (
+    ALPHA_STAR,
     GRID_BLOCK_ROWS,
     _evaluate_grid,
     bipolar_distribution,
@@ -21,6 +23,9 @@ from netpolar.graph import geodesic_distances, validate_network
 from netpolar.measures import MeasureParams, p_alpha, polarization
 
 from conftest import random_connected_network
+
+IN_THE_BAND = ("no distribution on this family beats the symmetric bipolar one for "
+               "exponents in [ALPHA_STAR, 2], ALPHA_STAR = ln 3 / ln 1.5 - 2 = 0.70951...")
 
 
 def unit_complete(n, weight=1.0, masses=None):
@@ -180,11 +185,7 @@ class TestVerifyBipolarMax:
         assert report.witness is not None
         assert report.best_value > report.bipolar_value
 
-    @pytest.mark.xfail(
-        strict=True,
-        reason="on this three-node family no distribution beats the symmetric "
-        "bipolar one for exponents between roughly 0.72 and 2",
-    )
+    @pytest.mark.xfail(strict=True, reason=IN_THE_BAND)
     def test_high_exponent_witness_on_the_near_equilateral_triangle(self):
         report = verify_bipolar_max(eps_triangle(0.001), alpha=1.5, grid_step=1.0 / 512.0)
         assert not report.is_bipolar_max
@@ -219,23 +220,21 @@ class TestVerifyBipolarMax:
 
 
 class TestCounterexampleSearch:
+    def test_alpha_star_in_closed_form(self):
+        assert ALPHA_STAR == math.log(3) / math.log(1.5) - 2
+        assert 3.0 * (2.0 / 3.0) ** (2.0 + ALPHA_STAR) == pytest.approx(1.0, rel=1e-15)
+
     @pytest.mark.parametrize(
         "alpha",
         [
             0.25,
             0.5,
-            pytest.param(0.75, marks=pytest.mark.xfail(
-                strict=True, reason="no beating distribution exists on this "
-                "family for exponents between roughly 0.72 and 2")),
-            pytest.param(1.25, marks=pytest.mark.xfail(
-                strict=True, reason="no beating distribution exists on this "
-                "family for exponents between roughly 0.72 and 2")),
-            pytest.param(1.5, marks=pytest.mark.xfail(
-                strict=True, reason="no beating distribution exists on this "
-                "family for exponents between roughly 0.72 and 2")),
-            pytest.param(2.0, marks=pytest.mark.xfail(
-                strict=True, reason="no beating distribution exists on this "
-                "family for exponents between roughly 0.72 and 2")),
+            0.709,
+            2.0001,
+            pytest.param(0.75, marks=pytest.mark.xfail(strict=True, reason=IN_THE_BAND)),
+            pytest.param(1.25, marks=pytest.mark.xfail(strict=True, reason=IN_THE_BAND)),
+            pytest.param(1.5, marks=pytest.mark.xfail(strict=True, reason=IN_THE_BAND)),
+            pytest.param(2.0, marks=pytest.mark.xfail(strict=True, reason=IN_THE_BAND)),
         ],
     )
     def test_witness_found_off_the_characterized_exponent(self, alpha):
@@ -243,11 +242,18 @@ class TestCounterexampleSearch:
         assert witness is not None
         assert witness["value"] > witness["bipolar_value"]
 
-    def test_witness_values_recompute(self):
-        witness = counterexample_search(0.5)
+    @pytest.mark.parametrize("alpha", [ALPHA_STAR + 1e-4, 2.0])
+    def test_no_witness_inside_the_band(self, alpha):
+        assert counterexample_search(alpha) is None
+
+    @pytest.mark.parametrize("alpha", [0.01, 0.25, 0.5, 0.709, 2.0001, 2.5, 5.0])
+    def test_witness_values_recompute(self, alpha):
+        witness = counterexample_search(alpha)
+        assert 0.0 < witness["eps"] <= witness["base_distance"]
+        assert sum(witness["masses"]) == pytest.approx(1.0, abs=1e-15)
         net = eps_triangle(witness["eps"], base=witness["base_distance"],
                            masses=tuple(witness["masses"]))
-        direct = polarization(net, MeasureParams(alpha=0.5)).value
+        direct = polarization(net, MeasureParams(alpha=alpha)).value
         assert direct == pytest.approx(witness["value"], rel=1e-12)
         assert direct > witness["bipolar_value"]
 
@@ -262,8 +268,18 @@ class TestCounterexampleSearch:
         with pytest.raises(DomainError, match="alpha must be positive"):
             counterexample_search(0.0)
 
-    def test_triangle_breaking_eps_skipped(self):
-        assert counterexample_search(0.5, eps_grid=(5.0,)) is None
+    @pytest.mark.parametrize("alpha", [0.1, 0.5, 0.7, 0.709, 0.75, 1.25, 1.5, 2.0, 2.01, 2.5, 5.0])
+    def test_dense_grid_finds_no_witness_the_construction_misses(self, alpha):
+        """Reference: a 3-node mass grid at step 1/120 over eps from 1e-6 to b."""
+        grid = simplex_grid(3, 120)
+        found = False
+        for eps in np.geomspace(1e-6, 1.0, 13):
+            values, bipolar = _evaluate_grid(grid, geodesic_distances(eps_triangle(eps)).d, alpha)
+            found |= bool((values > bipolar).any())
+        if found:
+            assert counterexample_search(alpha) is not None
+        if alpha in (0.75, 1.25, 1.5):
+            assert not found and counterexample_search(alpha) is None
 
 
 class TestDiameterDominance:

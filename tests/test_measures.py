@@ -248,6 +248,16 @@ class TestDistReuse:
         dist = geodesic_distances(net)
         assert polarization(net, dist=dist).value == pytest.approx(14.0, abs=1e-12)
 
+    def test_an_edited_graphs_distances_rejected(self):
+        net = complete_unit([1.0, 1.0, 1.0])
+        dist = geodesic_distances(net)
+        cut = delete_edge(net, "g0", "g2")
+        assert polarization(cut).value == 8.0
+        with pytest.raises(DomainError, match="^distance matrix does not match the network$"):
+            polarization(cut, dist=dist)
+        # a masses-only edit keeps the graph, so it keeps the matrix
+        assert polarization(scale_masses(net, 2.0), dist=dist).value == 48.0
+
     def test_mismatched_distances_rejected(self):
         with pytest.raises(DomainError, match="does not match the network"):
             polarization(two_point(1.0, 1.0), dist=geodesic_distances(complete_unit([1, 1, 1])))
