@@ -3,7 +3,9 @@
 For each lateral-distance ratio c the value function v(alpha, c) changes
 sign at an upper bound above 1 and, for c < 2, at a lower bound below 1.
 The admissible interval widens as c grows and always contains alpha = 1,
-the exponent singled out by the full axiom system.
+the exponent singled out by the full axiom system.  Off alpha = 1 the
+unweakened axiom fails at a witness (z, c) constructed in closed form:
+z = 2 / (1 + alpha) and the c that keeps half of f(z, alpha, 1).
 """
 
 from netpolar import admissible_interval, lemma1_witness

@@ -156,28 +156,26 @@ def admissible_interval(c: float, tol: float = 1e-9) -> AlphaInterval:
     return interval
 
 
-def lemma1_witness(alpha: float, budget: int = 64) -> tuple[float, float]:
-    """Find (z, c) with c > 1 and f(z, alpha, c) > 0, for any alpha != 1.
+def lemma1_witness(alpha: float) -> tuple[float, float]:
+    """Construct (z, c) with c > 1 and f(z, alpha, c) > 0, for any alpha != 1.
 
-    The search scans z over (1/alpha, 1) for alpha > 1 and (1, 1/alpha)
-    for alpha < 1, lowering c toward 1 until positivity appears.
+    f is affine in c: f(z, alpha, c) = f(z, alpha, 1) - (c - 1) s / 2 with
+    s = (2 + alpha) z^(1+alpha).  f(., alpha, 1) is 0 at z = 1 with slope
+    (1 + alpha)(1 - alpha), so it is positive on the 1/alpha side of 1;
+    z = 2 / (1 + alpha) is the harmonic mean of 1 and 1/alpha.
+    c = 1 + f(z, alpha, 1) / s, capped at 2 because s underflows to 0 for
+    large alpha, keeps at least half of f(z, alpha, 1).  That gain is of
+    order (alpha - 1)^2, so within about 2.5e-8 of alpha = 1 rounding
+    leaves no witness, and ConvergenceFailureError is raised.
     """
     _check_alpha(alpha)
     if alpha == 1.0:
         raise DomainError("no witness exists at alpha = 1")
-    if alpha > 1.0:
-        z_lo, z_hi = 1.0 / alpha, 1.0
-    else:
-        z_lo = 1.0
-        z_hi = min(1.0 / alpha, 1e6) if alpha > 0 else 1e6
-    zs = np.linspace(z_lo, z_hi, 400)[1:-1]
-    gap = 0.5
-    for _ in range(budget):
-        c = 1.0 + gap
-        if c <= 2.0:
-            vals = f_eval(zs, alpha, c)
-            k = int(np.argmax(vals))
-            if vals[k] > 0:
-                return float(zs[k]), c
-        gap /= 2.0
-    raise ConvergenceFailureError(f"no positivity witness found for alpha = {alpha}")
+    z = 2.0 / (1.0 + alpha)
+    gain = f_eval(z, alpha, 1.0)
+    s = (2.0 + alpha) * z ** (1.0 + alpha)
+    c = 2.0 if gain >= s else 1.0 + gain / s
+    if not (c > 1.0 and f_eval(z, alpha, c) > 0):
+        raise ConvergenceFailureError(
+            f"no positivity witness within float resolution of alpha = 1, got alpha = {alpha}")
+    return z, c

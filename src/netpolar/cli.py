@@ -155,9 +155,7 @@ def _cmd_axioms(args, usage_error) -> int:
 
 
 def _cmd_alpha_bounds(args) -> int:
-    if args.c is None and args.c_list is None:
-        args.c = 2.0  # the default ratio, echoed only when it is used
-    intervals = [admissible_interval(c, tol=args.tol) for c in args.c_list or [args.c]]
+    intervals = [admissible_interval(c, tol=args.tol) for c in args.c_list]
     last = intervals[-1]
     lower = "none" if last.lower is None else f"{last.lower:.6g}"
     summary = f"c={last.c:g} alpha_lower={lower} alpha_upper={last.upper:.6g}"
@@ -236,9 +234,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=partial(_cmd_axioms, usage_error=p.error))
 
     p = sub.add_parser("alpha-bounds", help="admissible exponent interval(s)")
-    ratio = p.add_mutually_exclusive_group()
-    ratio.add_argument("--c", type=float, help="lateral-distance ratio (default 2.0)")
-    ratio.add_argument("--c-list", type=float, nargs="+", default=None, dest="c_list")
+    p.add_argument("--c", "--c-list", type=float, nargs="+", default=[2.0], dest="c_list",
+                   metavar="C", help="lateral-distance ratio(s) (default 2.0)")
     p.add_argument("--tol", type=float, default=1e-9)
     p.add_argument("--out", default=None)
     p.add_argument("--format", choices=["json", "csv"], default="json")
@@ -268,6 +265,9 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args)
     except NetpolarError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:  # numpy's message names the allocation
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return 1
 
 

@@ -1,5 +1,7 @@
 """The sign function f, its value function v, and admissible exponent bounds."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -251,6 +253,9 @@ class TestReferenceBounds:
 
 
 class TestLemma1Witness:
+    # distances from alpha = 1, clear of the band where rounding hides f's gain
+    OFFSETS = np.geomspace(1e-7, 1.0, 3000)
+
     @pytest.mark.parametrize(
         "alpha", [0.05, 0.3, 0.5, 0.8, 0.95, 1.05, 1.2, 1.5, 2.0, 3.0]
     )
@@ -263,6 +268,35 @@ class TestLemma1Witness:
         else:
             assert z > 1.0
 
+    @pytest.mark.parametrize("alphas", [1.0 - OFFSETS, 1.0 + OFFSETS * 999.0],
+                             ids=["below-one", "above-one"])
+    def test_construction_holds_from_zero_to_a_thousand(self, alphas):
+        # 1 - OFFSETS ends at alpha = 0; 1 + 999 OFFSETS ends at 1e3
+        for alpha in map(float, alphas):
+            z, c = lemma1_witness(alpha)
+            assert c > 1.0, alpha
+            assert f_eval(z, alpha, c) > 0.0, alpha
+            reciprocal = 1.0 / alpha if alpha else np.inf
+            assert min(1.0, reciprocal) < z < max(1.0, reciprocal), alpha
+
+    @pytest.mark.parametrize("alpha", [1.0 - 1e-8, 1.0 + 1e-8])
+    def test_no_witness_within_float_resolution_of_one(self, alpha):
+        # f(z, alpha, 1) is about (alpha - 1)^2 here, below rounding: no c == 1.0
+        with pytest.raises(ConvergenceFailureError, match="within float resolution"):
+            lemma1_witness(alpha)
+
+    def test_exponent_zero_in_closed_form(self):
+        # z = 2, f(2, 0, 1) = 1, s = 4
+        assert lemma1_witness(0.0) == (2.0, 1.25)
+
+    def test_large_exponent_caps_c_at_two(self):
+        # z^(1 + alpha) underflows to 0, so the cap, not a division, sets c
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            z, c = lemma1_witness(1e6)
+        assert c == 2.0
+        assert f_eval(z, 1e6, c) > 0.0
+
     def test_rejected_at_the_characterized_exponent(self):
         with pytest.raises(DomainError):
             lemma1_witness(1.0)
@@ -270,10 +304,6 @@ class TestLemma1Witness:
     def test_rejected_for_negative_exponent(self):
         with pytest.raises(DomainError):
             lemma1_witness(-0.2)
-
-    def test_exhausted_budget_reported(self):
-        with pytest.raises(ConvergenceFailureError, match="no positivity witness found for alpha = 1.0001"):
-            lemma1_witness(1.0001, budget=1)
 
 
 class TestExponentDomain:
