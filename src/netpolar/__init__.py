@@ -13,7 +13,6 @@ from .axioms import (
     AxiomReport,
     AxiomScenario,
     AxiomVerdict,
-    SamplerRanges,
     check_axiom1,
     check_axiom2,
     check_axiom3,

@@ -147,13 +147,12 @@ def alpha_lower(c: float, tol: float = 1e-9) -> float | None:
 
 
 def admissible_interval(c: float, tol: float = 1e-9) -> AlphaInterval:
-    """Combine the two bounds; alpha = 1 always lies inside."""
-    lower = alpha_lower(c, tol)
-    upper = alpha_upper(c, tol)
-    interval = AlphaInterval(c, lower, upper, tol)
-    if not interval.contains(1.0):
-        raise ConvergenceFailureError(f"alpha = 1 lies outside the computed interval {interval}")
-    return interval
+    """Combine the two bounds; alpha = 1 always lies inside.
+
+    brentq keeps its root inside the bracket, so the lower bound lies in
+    [0, 1] and the upper bound in [1, 2].
+    """
+    return AlphaInterval(c, alpha_lower(c, tol), alpha_upper(c, tol), tol)
 
 
 def lemma1_witness(alpha: float) -> tuple[float, float]:

@@ -3,8 +3,8 @@
 Each scenario is a two- or three-point configuration given by masses and
 pairwise geodesic distances; both sides of an axiom's conclusion are
 evaluated as explicit P_alpha sums and compared.  Randomized suites sample
-valid scenarios from seeded ranges and report the first failing witness.
-Scenarios and sampling ranges check themselves when they are made.
+valid scenarios from fixed log-uniform intervals and report the first
+failing witness.  Scenarios check themselves when they are made.
 """
 
 from __future__ import annotations
@@ -20,6 +20,9 @@ from .errors import ConvergenceFailureError, DomainError
 from .measures import check_params
 
 MAX_A1_DRAWS = 100_000  # draws per A1 scenario before the sampler gives up
+MASS_RANGE = (0.1, 10.0)  # log-uniform range of the sampled masses
+DIST_RANGE = (0.1, 10.0)  # log-uniform range of the sampled distances
+C_BAR_MAX = 2.0  # c_bar is drawn from (1, 2), or from [c, 2) under A3c
 
 
 @dataclass(frozen=True)
@@ -173,28 +176,14 @@ def check_axiom3(s: AxiomScenario, K: float = 1.0) -> AxiomVerdict:
 _CHECKS = {"A1": check_axiom1, "A2": check_axiom2, "A3": check_axiom3, "A3c": check_axiom3}
 
 
-@dataclass(frozen=True)
-class SamplerRanges:
-    """Log-uniform sampling ranges for masses, distances and c_bar."""
-
-    mass: tuple[float, float] = (0.1, 10.0)
-    dist: tuple[float, float] = (0.1, 10.0)
-    c_bar: tuple[float, float] = (1.0, 2.0)  # open at the left end
-
-    def __post_init__(self):
-        for name, (lo, hi) in (("mass", self.mass), ("dist", self.dist), ("c_bar", self.c_bar)):
-            if not (0 < lo < hi):
-                raise DomainError(f"empty {name} range ({lo}, {hi})")
-
-
 def _log_uniform(rng: np.random.Generator, lo: float, hi: float) -> float:
     return float(np.exp(rng.uniform(math.log(lo), math.log(hi))))
 
 
 def _sample_scenario(kind: str, alpha: float, rng: np.random.Generator,
-                     ranges: SamplerRanges, c_threshold: float | None) -> AxiomScenario:
-    mlo, mhi = ranges.mass
-    dlo, dhi = ranges.dist
+                     c_threshold: float | None) -> AxiomScenario:
+    mlo, mhi = MASS_RANGE
+    dlo, dhi = DIST_RANGE
     if kind == "A1":
         for _ in range(MAX_A1_DRAWS):
             p = _log_uniform(rng, mlo, mhi)
@@ -222,12 +211,10 @@ def _sample_scenario(kind: str, alpha: float, rng: np.random.Generator,
         return AxiomScenario("A2", alpha, p, q, r=r, d_xy=d_xy, d_xz=d_xz,
                              d_yz=d_yz, perturbation=delta)
     # A3 or A3c
-    lo = c_threshold if (kind == "A3c" and c_threshold) else ranges.c_bar[0]
-    if not lo < ranges.c_bar[1]:
-        raise DomainError(
-            f"threshold {lo} leaves no admissible c_bar below {ranges.c_bar[1]}"
-        )
-    c_bar = rng.uniform(max(lo, np.nextafter(ranges.c_bar[0], 2.0)), ranges.c_bar[1])
+    lo = c_threshold or 1.0
+    if not lo < C_BAR_MAX:
+        raise DomainError(f"threshold {lo} leaves no admissible c_bar below {C_BAR_MAX}")
+    c_bar = rng.uniform(max(lo, np.nextafter(1.0, 2.0)), C_BAR_MAX)
     p = _log_uniform(rng, mlo, mhi)
     q = _log_uniform(rng, mlo, mhi)
     d = _log_uniform(rng, dlo, dhi)
@@ -242,20 +229,20 @@ def run_suite(
     count: int,
     seed: int,
     c: float | None = None,
-    ranges: SamplerRanges | None = None,
     K: float = 1.0,
 ) -> AxiomReport:
     """Run ``count`` seeded random scenarios of one axiom and tally verdicts.
 
     The witness, when present, is the lowest-index failing scenario together
-    with its verdict.
+    with its verdict.  ``c`` is the A3c threshold; the other suites take none.
     """
     check_params(K, alpha)
     if count < 1:
         raise DomainError("count must be at least 1")
-    ranges = ranges or SamplerRanges()
     if axiom not in _CHECKS:
         raise DomainError(f"unknown axiom {axiom!r}")
+    if c is not None and axiom != "A3c":
+        raise DomainError(f"c applies to the A3c suite only, got c={c} for {axiom}")
     if seed < 0:
         raise DomainError(f"seed must be non-negative, got {seed}")
     check = _CHECKS[axiom]
@@ -263,7 +250,7 @@ def run_suite(
     failures = 0
     witness = None
     for i in range(count):
-        s = _sample_scenario(axiom, alpha, rng, ranges, c)
+        s = _sample_scenario(axiom, alpha, rng, c)
         verdict = check(s, K)
         if not verdict.satisfied:
             failures += 1

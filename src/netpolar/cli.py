@@ -212,14 +212,11 @@ def build_parser() -> argparse.ArgumentParser:
     # every build namespace keeps both options, at their defaults unless the kind reads one
     p.set_defaults(func=_cmd_build, **{dest: ch[0] for dest, _, ch in BUILD_OPTIONS.values()})
     kinds = p.add_subparsers(dest="kind", required=True)
-    # the kinds that read no option share one parser
-    plain = [kind for kind in BUILDERS if kind not in BUILD_OPTIONS]
-    for names, option in [(plain, None)] + [([kind], opt) for kind, opt in BUILD_OPTIONS.items()]:
-        k = kinds.add_parser(names[0], aliases=names[1:],
-                             prog=f"{p.prog} {{{','.join(names)}}}")
+    for kind in BUILDERS:
+        k = kinds.add_parser(kind)
         k.add_argument("--input", required=True, help="CSV input file")
-        if option:
-            dest, flag, choices = option
+        if kind in BUILD_OPTIONS:
+            dest, flag, choices = BUILD_OPTIONS[kind]
             k.add_argument(flag, choices=choices, default=choices[0], dest=dest)
         k.add_argument("--out", default=None)
 

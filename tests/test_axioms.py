@@ -9,7 +9,6 @@ import netpolar.axioms
 from netpolar.alpha_bounds import f_eval, lemma1_witness
 from netpolar.axioms import (
     AxiomScenario,
-    SamplerRanges,
     check_axiom1,
     check_axiom2,
     check_axiom3,
@@ -207,8 +206,7 @@ class TestSuites:
         assert report.failures == 0
 
     def test_spread_suite_fails_off_the_characterized_exponent(self):
-        ranges = SamplerRanges(c_bar=(1.0, 1.1))
-        report = run_suite("A3", alpha=1.5, count=500, seed=14, ranges=ranges)
+        report = run_suite("A3", alpha=1.5, count=500, seed=14)
         assert report.failures > 0
         assert report.witness is not None
         assert report.witness["verdict"]["satisfied"] is False
@@ -238,6 +236,16 @@ class TestSuites:
         text = run_suite("A1", alpha=alpha, count=count, seed=seed).to_json()
         assert hashlib.sha256(text.encode()).hexdigest() == digest
 
+    @pytest.mark.parametrize("axiom, alpha, seed, c, digest", [
+        ("A2", 0.7, 5, None, "5f93a9721e2b45b5e75e86162b4dae8872c7d92ca14c7444eeecc8aa8aa6403f"),
+        ("A3", 1.5, 6, None, "836930f77adc7931b91d66c4d8c54a49e77dcc7030de16209b9879f74dd119e6"),
+        ("A3c", 1.7, 8, 1.05, "3e34141191916554072918f25548a30605a37c625f0c6e25fdd950f958496479"),
+    ])
+    def test_suite_reports_pinned_with_the_default_ranges(self, axiom, alpha, seed, c, digest):
+        # recorded when the sampling ranges were a settable dataclass with these defaults
+        text = run_suite(axiom, alpha=alpha, count=400, seed=seed, c=c).to_json()
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
+
     def test_a1_sampler_gives_up_after_a_fixed_number_of_draws(self, monkeypatch):
         monkeypatch.setattr(netpolar.axioms, "MAX_A1_DRAWS", 50)
         with pytest.raises(ConvergenceFailureError,
@@ -257,10 +265,11 @@ class TestSuites:
         with pytest.raises(DomainError, match="threshold 2.5 leaves no admissible c_bar"):
             run_suite("A3c", alpha=1.0, count=10, seed=1, c=2.5)
 
-    def test_invalid_ranges(self):
-        with pytest.raises(DomainError, match="empty mass range"):
-            run_suite("A1", alpha=1.0, count=10, seed=1,
-                      ranges=SamplerRanges(mass=(2.0, 1.0)))
+    @pytest.mark.parametrize("axiom", ["A1", "A2", "A3"])
+    def test_threshold_rejected_outside_the_conditional_suite(self, axiom):
+        with pytest.raises(DomainError) as exc:
+            run_suite(axiom, alpha=1.0, count=10, seed=1, c=1.5)
+        assert str(exc.value) == f"c applies to the A3c suite only, got c=1.5 for {axiom}"
 
 
 BAD_K = [-1.0, 0.0, np.nan, np.inf]
@@ -282,13 +291,6 @@ class TestScenariosCheckThemselves:
         with pytest.raises(DomainError) as exc:
             make()
         assert str(exc.value) == message
-
-    @pytest.mark.parametrize("field, lo, hi", [("mass", 2.0, 1.0), ("dist", 0.0, 1.0),
-                                               ("c_bar", 1.5, 1.5)])
-    def test_invalid_ranges_raise_when_made(self, field, lo, hi):
-        with pytest.raises(DomainError) as exc:
-            SamplerRanges(**{field: (lo, hi)})
-        assert str(exc.value) == f"empty {field} range ({lo}, {hi})"
 
 
 class TestK:
