@@ -103,15 +103,13 @@ def v_eval(alpha: float, c: float) -> tuple[float, float]:
     return max((float(f_eval(root, alpha, c)), float(root)), (-0.5, 0.0))
 
 
-def _check_c_tol(c: float, tol: float) -> None:
-    if not 1.0 < c <= 2.0:
-        raise DomainError("c must lie in (1, 2]")
+def _check_tol(tol: float) -> None:
     if not 0 < tol < np.inf:
         raise DomainError("tolerance must be positive and finite")
 
 
 def _sign_change(c: float, lo: float, hi: float, tol: float, name: str) -> float:
-    """The alpha in [lo, hi] where v(., c) changes sign, to within ``tol``."""
+    """The alpha in [lo, hi] where v(., c) changes sign, to within ``tol``; v_eval checks c."""
     from scipy.optimize import brentq
     root, result = brentq(lambda a: v_eval(a, c)[0], lo, hi, xtol=tol,
                           maxiter=MAX_ITERATIONS, full_output=True, disp=False)
@@ -123,12 +121,11 @@ def _sign_change(c: float, lo: float, hi: float, tol: float, name: str) -> float
 def alpha_upper(c: float, tol: float = 1e-9) -> float:
     """Largest admissible exponent: the zero of v(., c) on (1, 2].
 
-    v is negative at 1 and positive at 2 for every c in (1, 2] and
-    increases in alpha on that range, so the sign change is unique.
+    v is negative at 1 and increases in alpha on (1, 2], so the sign
+    change is unique.  v is positive at 2 for every c in (1, 2]: f
+    decreases in c, so v(2, c) >= v(2, 2) = 0.274.
     """
-    _check_c_tol(c, tol)
-    if not v_eval(2.0, c)[0] > 0:
-        raise ConvergenceFailureError("value function not positive at alpha = 2")
+    _check_tol(tol)
     return _sign_change(c, 1.0, 2.0, tol, "alpha_upper")
 
 
@@ -139,7 +136,7 @@ def alpha_lower(c: float, tol: float = 1e-9) -> float | None:
     boundary below 1 is a single crossing; ``None`` when v < 0 throughout
     [0, 1] (then nothing is excluded from below).
     """
-    _check_c_tol(c, tol)
+    _check_tol(tol)
     if not v_eval(0.0, c)[0] >= 0:
         return None
     # v(0) >= 0 and v(1) < 0

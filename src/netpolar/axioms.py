@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, asdict
+from typing import Callable
 
 import numpy as np
 
@@ -113,14 +114,26 @@ class AxiomReport:
         return json.dumps(asdict(self), indent=2, sort_keys=True)
 
 
+def _finite(side: Callable[[], float], alpha: float) -> float:
+    """The value of ``side``; beyond the float range it is a :class:`DomainError`."""
+    try:
+        value = side()
+    except OverflowError:  # float ** raises where * gives inf
+        value = math.inf
+    if not math.isfinite(value):
+        raise DomainError(f"an axiom side evaluates to {value} at alpha = {alpha}: "
+                          "it overflows the float range")
+    return value
+
+
 def _p3(masses, distances, alpha: float, K: float) -> float:
     """P_alpha of a three-point configuration with prescribed distances."""
     (mx, my, mz), (dxy, dxz, dyz) = masses, distances
-    return K * (
+    return _finite(lambda: K * (
         mx ** (1 + alpha) * (my * dxy + mz * dxz)
         + my ** (1 + alpha) * (mx * dxy + mz * dyz)
         + mz ** (1 + alpha) * (mx * dxz + my * dyz)
-    )
+    ), alpha)
 
 
 def check_axiom1(s: AxiomScenario, K: float = 1.0) -> AxiomVerdict:
@@ -136,9 +149,9 @@ def check_axiom1(s: AxiomScenario, K: float = 1.0) -> AxiomVerdict:
     before = _p3((s.p, s.q, s.q), (s.d_xy, s.d_xz, s.d_yz), a, K)
     d_merged = (s.d_xy + s.d_xz) / 2.0
     w = 2.0 * s.q
-    after = K * (s.p ** (1 + a) * w + w ** (1 + a) * s.p) * d_merged
+    after = _finite(lambda: K * (s.p ** (1 + a) * w + w ** (1 + a) * s.p) * d_merged, a)
     margin = after - before
-    closed = (2.0 ** a - 1.0) * (s.d_xy + s.d_xz) * s.p > 2.0 * s.q * s.d_yz
+    closed = _finite(lambda: (2.0 ** a - 1.0) * (s.d_xy + s.d_xz) * s.p, a) > 2.0 * s.q * s.d_yz
     return AxiomVerdict(before, after, margin > 0, margin, closed_form=closed)
 
 
@@ -185,6 +198,7 @@ def _sample_scenario(kind: str, alpha: float, rng: np.random.Generator,
     mlo, mhi = MASS_RANGE
     dlo, dhi = DIST_RANGE
     if kind == "A1":
+        gain = _finite(lambda: 2.0 ** alpha - 1.0, alpha)
         for _ in range(MAX_A1_DRAWS):
             p = _log_uniform(rng, mlo, mhi)
             q = p * rng.uniform(0.01, 0.99)
@@ -194,7 +208,7 @@ def _sample_scenario(kind: str, alpha: float, rng: np.random.Generator,
             # metric consistency: the three distances satisfy the triangle inequality
             d_yz = rng.uniform(d_xz - d_xy, d_xz + d_xy)
             # keep only draws that satisfy the proof's closed-form inequality
-            if (2.0 ** alpha - 1.0) * (d_xy + d_xz) * p > 2.0 * q * d_yz:
+            if gain * (d_xy + d_xz) * p > 2.0 * q * d_yz:
                 return AxiomScenario("A1", alpha, p, q, d_xy=d_xy, d_xz=d_xz, d_yz=d_yz)
         raise ConvergenceFailureError(
             f"A1 sampler accepted 0 of {MAX_A1_DRAWS} draws at alpha={alpha} "
@@ -210,11 +224,8 @@ def _sample_scenario(kind: str, alpha: float, rng: np.random.Generator,
         delta = max(delta, 1e-9 * d_xy)
         return AxiomScenario("A2", alpha, p, q, r=r, d_xy=d_xy, d_xz=d_xz,
                              d_yz=d_yz, perturbation=delta)
-    # A3 or A3c
-    lo = c_threshold or 1.0
-    if not lo < C_BAR_MAX:
-        raise DomainError(f"threshold {lo} leaves no admissible c_bar below {C_BAR_MAX}")
-    c_bar = rng.uniform(max(lo, np.nextafter(1.0, 2.0)), C_BAR_MAX)
+    # A3 or A3c; run_suite has checked that 1 < c_threshold < C_BAR_MAX
+    c_bar = rng.uniform(c_threshold or np.nextafter(1.0, 2.0), C_BAR_MAX)
     p = _log_uniform(rng, mlo, mhi)
     q = _log_uniform(rng, mlo, mhi)
     d = _log_uniform(rng, dlo, dhi)
@@ -234,7 +245,8 @@ def run_suite(
     """Run ``count`` seeded random scenarios of one axiom and tally verdicts.
 
     The witness, when present, is the lowest-index failing scenario together
-    with its verdict.  ``c`` is the A3c threshold; the other suites take none.
+    with its verdict.  ``c`` is the A3c threshold, in (1, C_BAR_MAX); the other
+    suites take none.
     """
     check_params(K, alpha)
     if count < 1:
@@ -243,6 +255,10 @@ def run_suite(
         raise DomainError(f"unknown axiom {axiom!r}")
     if c is not None and axiom != "A3c":
         raise DomainError(f"c applies to the A3c suite only, got c={c} for {axiom}")
+    if c is not None and not c < C_BAR_MAX:
+        raise DomainError(f"threshold {c} leaves no admissible c_bar below {C_BAR_MAX}")
+    if c is not None and not c > 1.0:
+        raise DomainError(f"A3c needs a threshold c > 1, got c={c}")
     if seed < 0:
         raise DomainError(f"seed must be non-negative, got {seed}")
     check = _CHECKS[axiom]

@@ -75,12 +75,11 @@ def _config_echo(args: argparse.Namespace) -> dict:
 def _cmd_compute(args) -> int:
     net = parse_network_file(args.network, args.allow_disconnected_longest_path)
     params = MeasureParams(K=args.K, alpha=args.alpha)
-    dist = geodesic_distances(net)
     if args.normalize:
-        result = normalized_polarization(net, params, dist)
+        result = normalized_polarization(net, params)
         summary = f"value={result.value:.12g} normalized={result.normalized:.12g}"
     else:
-        result = polarization(net, params, dist)
+        result = polarization(net, params)
         summary = f"value={result.value:.12g}"
     return _emit(args, summary, _json({"config": _config_echo(args), "result": result.to_dict()}))
 

@@ -48,7 +48,7 @@ class Network:
     edges: tuple[Edge, ...]
     longest_path_convention: bool = False
     # the graph as a symmetric sparse matrix, made by ``_network``
-    _csgraph: csr_matrix | None = field(default=None, compare=False, repr=False)
+    _csgraph: csr_matrix = field(kw_only=True, compare=False, repr=False)
 
     @property
     def n(self) -> int:
@@ -182,7 +182,7 @@ def _network(ids: tuple[str, ...], masses: tuple[float, ...], iu: np.ndarray, iv
     g = _symmetric_csr(iu, iv, w, n)
     if not allow_disconnected and connected_components(g, directed=False, return_labels=False) > 1:
         raise DisconnectedError(message)
-    return Network(ids, masses, tuple(zip(us, vs, ws)), allow_disconnected, g)
+    return Network(ids, masses, tuple(zip(us, vs, ws)), allow_disconnected, _csgraph=g)
 
 
 def _symmetric_csr(u: np.ndarray, v: np.ndarray, w: np.ndarray, n: int) -> csr_matrix:
@@ -201,9 +201,6 @@ def geodesic_distances(net: Network) -> DistanceMatrix:
     range is a :class:`DomainError`, never a disconnection.
     """
     g = net._csgraph
-    if g is None:
-        raise ValidationError("network has no graph: make it with validate_network, "
-                              "network_from_dict or a builder")
     d = shortest_path(g, directed=False)
     # Dijkstra may sum one path in a different order from each end
     np.minimum(d, d.T, out=d)

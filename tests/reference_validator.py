@@ -50,20 +50,21 @@ def validate_network(
         seen.add(key)
         clean.append((u, v, w))
 
-    net = Network(ids, masses, tuple(clean), longest_path_convention=allow_disconnected)
-    if not allow_disconnected and _components(net) > 1:
+    g = _csgraph(ids, clean)
+    if not allow_disconnected and connected_components(g, directed=False,
+                                                       return_labels=False) > 1:
         raise DisconnectedError("graph is not connected")
-    return net
+    return Network(ids, masses, tuple(clean), longest_path_convention=allow_disconnected,
+                   _csgraph=g)
 
 
-def _components(net: Network) -> int:
-    idx = {v: i for i, v in enumerate(net.ids)}
-    u = np.array([idx[a] for a, _, _ in net.edges], dtype=np.intp)
-    v = np.array([idx[b] for _, b, _ in net.edges], dtype=np.intp)
-    w = np.array([x for _, _, x in net.edges], dtype=float)
+def _csgraph(ids: tuple[str, ...], edges: list[tuple[str, str, float]]) -> csr_matrix:
+    idx = {v: i for i, v in enumerate(ids)}
+    u = np.array([idx[a] for a, _, _ in edges], dtype=np.intp)
+    v = np.array([idx[b] for _, b, _ in edges], dtype=np.intp)
+    w = np.array([x for _, _, x in edges], dtype=float)
     ends = (np.concatenate((u, v)), np.concatenate((v, u)))
-    g = csr_matrix((np.concatenate((w, w)), ends), shape=(net.n, net.n))
-    return connected_components(g, directed=False, return_labels=False)
+    return csr_matrix((np.concatenate((w, w)), ends), shape=(len(ids), len(ids)))
 
 
 def network_from_dict(raw: Mapping, allow_disconnected: bool = False) -> Network:

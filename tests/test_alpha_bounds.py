@@ -5,6 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
+import netpolar.alpha_bounds
 from netpolar.alpha_bounds import (
     AlphaInterval,
     admissible_interval,
@@ -93,11 +94,15 @@ class TestV:
             assert v_eval(1.0, c)[0] < 0.0
 
     def test_positive_at_alpha_two(self):
-        for c in (1.1, 1.5, 2.0):
-            assert v_eval(2.0, c)[0] > 0.0
+        # f decreases in c, so v(2, c) >= v(2, 2) = 0.27423 on (1, 2]
+        for c in [np.nextafter(1.0, 2.0), *np.linspace(1.0, 2.0, 101)[1:]]:
+            assert v_eval(2.0, c)[0] >= 0.274
 
     def test_alpha_zero_unbounded_below_c_two(self):
         assert v_eval(0.0, 1.5)[0] == float("inf")
+
+    def test_peak_beyond_every_doubling_is_infinite(self):
+        assert v_eval(1e-3, 1.0 + 1e-6) == (float("inf"), float("inf"))
 
     def test_alpha_zero_at_c_two(self):
         value, argmax = v_eval(0.0, 2.0)
@@ -189,14 +194,21 @@ class TestBounds:
         open_below = AlphaInterval(2.0, None, 1.6, 1e-9)
         assert open_below.contains(0.0) and open_below.contains(1.6)
 
-    def test_domain_errors(self):
-        for bad_c in (1.0, 2.5):
-            with pytest.raises(DomainError):
-                alpha_upper(bad_c)
-            with pytest.raises(DomainError):
-                alpha_lower(bad_c)
-        with pytest.raises(DomainError):
-            alpha_upper(1.5, tol=0.0)
+    @pytest.mark.parametrize("bound", [alpha_lower, alpha_upper])
+    @pytest.mark.parametrize("bad_c", [-3.0, 1.0, 2.5, np.nan])
+    def test_domain_errors(self, bound, bad_c):
+        # v_eval checks c; the tolerance is checked first
+        with pytest.raises(DomainError, match=r"^c must lie in \(1, 2\]$"):
+            bound(bad_c)
+        with pytest.raises(DomainError, match="^tolerance must be positive and finite$"):
+            bound(bad_c, tol=0.0)
+
+    @pytest.mark.parametrize("bound", [alpha_lower, alpha_upper])
+    def test_unconverged_root_search_raises(self, bound, monkeypatch):
+        monkeypatch.setattr(netpolar.alpha_bounds, "MAX_ITERATIONS", 1)
+        with pytest.raises(ConvergenceFailureError,
+                           match=f"^{bound.__name__} root search did not converge$"):
+            bound(1.5)
 
 
 # 40-digit mpmath solutions of v(alpha, c) = 0, rounded to double

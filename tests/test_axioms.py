@@ -64,12 +64,10 @@ class TestScenarioValidation:
     def test_kind_mismatch_rejected(self):
         with pytest.raises(DomainError, match="expected kind A1, got 'A2'"):
             check_axiom1(a2())
+        with pytest.raises(DomainError, match="expected kind A2, got 'A1'"):
+            check_axiom2(a1())
         with pytest.raises(DomainError, match="expected kind A3 or A3c, got 'A1'"):
             check_axiom3(a1())
-
-    def test_unknown_kind_rejected(self):
-        with pytest.raises(DomainError, match="unknown scenario kind 'A9'"):
-            AxiomScenario("A9", 1.0, 1.0, 0.5).validate()
 
 
 class TestAxiom1:
@@ -265,6 +263,13 @@ class TestSuites:
         with pytest.raises(DomainError, match="threshold 2.5 leaves no admissible c_bar"):
             run_suite("A3c", alpha=1.0, count=10, seed=1, c=2.5)
 
+    @pytest.mark.parametrize("c", [-3.0, 0.0, 0.5, 1.0])
+    def test_threshold_at_or_below_one_rejected_before_any_draw(self, c, monkeypatch):
+        monkeypatch.setattr(netpolar.axioms, "_sample_scenario", None)  # a draw would fail
+        with pytest.raises(DomainError) as exc:
+            run_suite("A3c", alpha=1.0, count=10, seed=1, c=c)
+        assert str(exc.value) == f"A3c needs a threshold c > 1, got c={c}"
+
     @pytest.mark.parametrize("axiom", ["A1", "A2", "A3"])
     def test_threshold_rejected_outside_the_conditional_suite(self, axiom):
         with pytest.raises(DomainError) as exc:
@@ -278,14 +283,21 @@ BAD_K = [-1.0, 0.0, np.nan, np.inf]
 class TestScenariosCheckThemselves:
     @pytest.mark.parametrize("make, message", [
         (lambda: a1(p=1.0, q=1.0), "A1 needs pi_x > pi_y = pi_z > 0"),
+        (lambda: a1(d_yz=None), "A1 needs d_xy, d_xz, d_yz"),
+        (lambda: a2(r=None), "A2 needs pi_x > pi_z > 0 and pi_y > 0"),
+        (lambda: a2(d_xz=None), "A2 needs d_xy, d_xz, d_yz"),
+        (lambda: a2(delta=None), "A2 needs a positive shift"),
         (lambda: a2(delta=5.0), "A2 shift outside the admissible window"),
+        (lambda: a3(q=0.0), "A3 needs positive masses"),
+        (lambda: a3(d=None), "A3 needs d > 0"),
         (lambda: a3(c_bar=1.0), "A3 needs lateral ratio c_bar > 1"),
         (lambda: a3(alpha=np.nan), "alpha must be positive and finite, got nan"),
         (lambda: a3(kind="A3c"), "A3c needs a threshold c"),
         (lambda: a3(kind="A3c", c_bar=1.2, threshold=1.5),
          "lateral ratio 1.2 below the fixed threshold 1.5"),
         (lambda: AxiomScenario("A9", 1.0, 1.0, 0.5), "unknown scenario kind 'A9'"),
-    ], ids=["A1-masses", "A2-window", "A3-ratio", "alpha-nan", "A3c-no-threshold",
+    ], ids=["A1-masses", "A1-no-distance", "A2-no-r", "A2-no-distance", "A2-no-shift",
+            "A2-window", "A3-masses", "A3-no-d", "A3-ratio", "alpha-nan", "A3c-no-threshold",
             "A3c-below-threshold", "unknown-kind"])
     def test_invalid_scenario_raises_when_made(self, make, message):
         with pytest.raises(DomainError) as exc:
@@ -308,3 +320,21 @@ class TestK:
         c = 1.5 if axiom == "A3c" else None
         with pytest.raises(DomainError, match=f"^K must be positive and finite, got {K}$"):
             run_suite(axiom, alpha=1.0, count=5, seed=1, c=c, K=K)
+
+
+class TestOverflow:
+    @pytest.mark.parametrize("check, scenario", [
+        (check_axiom1, a1(alpha=1000.0, p=20.0)),
+        (check_axiom1, a1(alpha=1100.0, p=0.5)),  # only the closed form's 2^alpha overflows
+        (check_axiom2, a2(alpha=1000.0, p=20.0)),
+        (check_axiom3, a3(alpha=1000.0, q=20.0)),
+    ], ids=["A1", "A1-closed-form", "A2", "A3"])
+    def test_a_side_beyond_the_float_range_is_a_domain_error(self, check, scenario):
+        with pytest.raises(DomainError, match=f"^an axiom side evaluates to inf at alpha = "
+                                              f"{scenario.alpha}: it overflows the float range$"):
+            check(scenario)
+
+    def test_a1_sampler_rejects_an_overflowing_acceptance_test(self):
+        # 2^alpha overflows from alpha = 1024, before any scenario is checked
+        with pytest.raises(DomainError, match="evaluates to inf at alpha = 1024.0"):
+            run_suite("A1", alpha=1024.0, count=1, seed=1)

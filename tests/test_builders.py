@@ -117,6 +117,16 @@ class TestLine:
         with pytest.raises(ValidationError, match="positions must be pairwise distinct"):
             MassPoints((((1.0,), 1.0), ((1.0,), 2.0)))
 
+    @pytest.mark.parametrize("points, message", [
+        ((), "need at least one mass point"),
+        ((((1.0,), 1.0), ((1.0, 2.0), 2.0)), "all positions must have the same dimension"),
+        ((((float("nan"),), 1.0),), "non-finite coordinates in"),
+        ((((0.0,), -1.0),), "negative mass at"),
+    ], ids=["empty", "mixed-dimensions", "nan-coordinate", "negative-mass"])
+    def test_invalid_points_rejected(self, points, message):
+        with pytest.raises(ValidationError, match=message):
+            MassPoints(points)
+
     def test_distinct_positions_sharing_an_id_rejected(self):
         # %g keeps six significant digits, so both positions print as (0.123457)
         pts = MassPoints((((0.1234568,), 1.0), ((0.1234567,), 1.0)))
@@ -242,6 +252,8 @@ class TestParties:
     def test_party_map_required(self):
         with pytest.raises(ValidationError, match="party map required to build a party network"):
             build_parties(roll_call_votes())
+        with pytest.raises(ValidationError, match="^party map required$"):
+            party_positions(roll_call_votes())
 
     def test_single_party_rejected(self):
         votes = VoteMatrix(("a", "b"), ((1,), (1,)), {"a": "X", "b": "X"})
@@ -327,9 +339,15 @@ class TestKemeny:
         with pytest.raises(DomainError, match="8 alternatives would create 8! nodes"):
             build_preference_kemeny(profile)
 
-    def test_invalid_ballot_rejected(self):
-        with pytest.raises(ValidationError, match="is not a permutation of the alternatives"):
-            PreferenceProfile(("a", "b"), ((("a", "a"), 1.0),))
+    @pytest.mark.parametrize("alternatives, ballots, message", [
+        (("a", "b"), ((("a", "a"), 1.0),), "is not a permutation of the alternatives"),
+        (("a",), (), "need at least two alternatives"),
+        (("a", "a"), (), "alternatives must be distinct"),
+        (("a", "b"), ((("a", "b"), 0.0),), "ballot count must be positive, got 0.0"),
+    ])
+    def test_invalid_ballot_rejected(self, alternatives, ballots, message):
+        with pytest.raises(ValidationError, match=message):
+            PreferenceProfile(alternatives, ballots)
 
 
 class TestLattice:
@@ -404,7 +422,7 @@ class TestCsvLoaders:
 
     def test_preferences_round_trip(self, tmp_path):
         path = tmp_path / "prefs.csv"
-        path.write_text("ranking,count\nc>b>a,4\na>b>c,2\n")
+        path.write_text("ranking,count\nc>b>a,4\n\na>b>c,2\n")  # a blank row is skipped
         profile = load_preferences_csv(path)
         assert profile.alternatives == ("a", "b", "c")
         assert profile.ballots == ((("c", "b", "a"), 4.0), (("a", "b", "c"), 2.0))
@@ -413,6 +431,16 @@ class TestCsvLoaders:
         path = tmp_path / "prefs.csv"
         path.write_text("order,n\na>b,1\n")
         with pytest.raises(ValidationError, match="header must be 'ranking,count'"):
+            load_preferences_csv(path)
+
+    @pytest.mark.parametrize("text, message", [
+        ("ranking,count\n\n", "prefs.csv: no ballots$"),
+        ("ranking,count\na>b,many\n", "prefs.csv:2: count must be a number$"),
+    ], ids=["no-ballots", "text-count"])
+    def test_preferences_rejected(self, text, message, tmp_path):
+        path = tmp_path / "prefs.csv"
+        path.write_text(text)
+        with pytest.raises(ValidationError, match=message):
             load_preferences_csv(path)
 
     def test_mass_points_with_and_without_header(self, tmp_path):

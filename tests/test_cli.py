@@ -5,6 +5,7 @@ import csv
 import io
 import json
 import os
+import runpy
 import subprocess
 import sys
 import tempfile
@@ -65,6 +66,15 @@ class TestCompute:
         assert main(["compute", "--network", two_point_file,
                      "--alpha", "2", "--K", "4"]) == 0
         assert "value=0.5" in capsys.readouterr().out
+
+    def test_module_runs_as_a_script(self, two_point_file, monkeypatch, capsys):
+        # what python -m netpolar.cli runs, in this process
+        monkeypatch.delitem(sys.modules, "netpolar.cli")
+        monkeypatch.setattr(sys, "argv", ["netpolar", "compute", "--network", two_point_file])
+        with pytest.raises(SystemExit) as exc:
+            runpy.run_module("netpolar.cli", run_name="__main__")
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith("value=")
 
     def test_report_is_deterministic(self, two_point_file, tmp_path, capsys):
         # identical invocations must produce byte-identical reports; the
@@ -383,16 +393,31 @@ class TestErrorHandling:
           for step in ("0", "-0.0", "nan", "1e-320")],
         (["axioms", "--suite", "A3c", "--seed", "1", "--samples", "5", "--c", "nan"],
          "threshold nan leaves no admissible c_bar below 2.0"),
+        (["axioms", "--suite", "A3c", "--seed", "1", "--samples", "5", "--c", "1"],
+         "A3c needs a threshold c > 1, got c=1.0"),
         (["axioms", "--suite", "A2", "--seed", "-1", "--samples", "5"],
          "seed must be non-negative, got -1"),
         (["alpha-bounds", "--tol", "inf"], "tolerance must be positive and finite"),
-    ], ids=["step-0", "step-neg-0", "step-nan", "step-subnormal", "c-nan", "seed-neg", "tol-inf"])
+    ], ids=["step-0", "step-neg-0", "step-nan", "step-subnormal", "c-nan", "c-one", "seed-neg",
+            "tol-inf"])
     def test_degenerate_numeric_flag_is_a_domain_error(self, argv, message, two_point_file,
                                                        capsys):
         if argv[0] == "extremal":
             argv = argv + ["--network", two_point_file]
         assert main(argv) == 1
         assert capsys.readouterr().err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("suite", ["A1", "A2", "A3", "A3c"])
+    def test_overflowing_alpha_is_one_error_line(self, suite, tmp_path, capsys):
+        out = tmp_path / "axioms.json"
+        argv = ["axioms", "--suite", suite, "--seed", "1", "--samples", "10", "--alpha", "1000",
+                "--out", str(out)]
+        assert main(argv + (["--c", "1.5"] if suite == "A3c" else [])) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: an axiom side evaluates to inf at alpha = 1000.0: "
+                                "it overflows the float range\n")
+        assert not out.exists()
 
     def test_a1_at_nan_alpha_fails_within_the_timeout(self):
         # no draw passes the A1 acceptance test at alpha = nan, so a missing

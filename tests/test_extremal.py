@@ -210,6 +210,10 @@ class TestVerifyBipolarMax:
         with pytest.raises(DomainError, match="7 nodes exceed the exhaustive-mode limit 6"):
             verify_bipolar_max(unit_complete(7))
 
+    def test_single_node_rejected(self):
+        with pytest.raises(DomainError, match="^need at least two nodes$"):
+            verify_bipolar_max(validate_network([("a", 1.0)]))
+
     def test_step_must_divide_one(self):
         with pytest.raises(DomainError, match="must evenly divide 1"):
             verify_bipolar_max(unit_complete(3), grid_step=0.3)
@@ -242,7 +246,8 @@ class TestCounterexampleSearch:
         assert witness is not None
         assert witness["value"] > witness["bipolar_value"]
 
-    @pytest.mark.parametrize("alpha", [ALPHA_STAR + 1e-4, 2.0])
+    # just above 2 the construction is built but rounding leaves no gain
+    @pytest.mark.parametrize("alpha", [ALPHA_STAR + 1e-4, 2.0, np.nextafter(2.0, 3.0)])
     def test_no_witness_inside_the_band(self, alpha):
         assert counterexample_search(alpha) is None
 

@@ -1,5 +1,7 @@
 """Network validation, geodesic distances and graph edit operations."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -340,11 +342,15 @@ class TestWireFormat:
 
 
 class TestNetworkWithoutAGraph:
-    def test_geodesic_distances_names_the_constructors(self):
+    def test_the_class_needs_its_graph(self):
         from netpolar.graph import Network
 
-        net = Network(("a", "b"), (1.0, 1.0), (("a", "b", 1.0),))
-        with pytest.raises(ValidationError, match="^network has no graph: make it with "
-                                                  "validate_network, network_from_dict "
-                                                  "or a builder$"):
-            geodesic_distances(net)
+        with pytest.raises(TypeError, match="required keyword-only argument: '_csgraph'"):
+            Network(("a", "b"), (1.0, 1.0), (("a", "b", 1.0),))
+
+    def test_a_copy_without_the_convention_is_still_disconnected(self):
+        # dataclasses.replace is the only way to a disconnected network that
+        # lacks the longest-path convention
+        net = validate_network([("a", 1.0), ("b", 1.0)], allow_disconnected=True)
+        with pytest.raises(DisconnectedError, match="^graph is not connected$"):
+            geodesic_distances(replace(net, longest_path_convention=False))
