@@ -2,9 +2,15 @@
 
 Each scenario is a two- or three-point configuration given by masses and
 pairwise geodesic distances; both sides of an axiom's conclusion are
-evaluated as explicit P_alpha sums and compared.  Randomized suites sample
-valid scenarios from fixed log-uniform intervals and report the first
-failing witness.  Scenarios check themselves when they are made.
+evaluated as explicit P_alpha sums and compared.  Scenarios check
+themselves when they are made.
+
+Randomized suites sample scenarios from fixed log-uniform intervals and
+report the failure count and the first failing witness.  They draw and judge
+the scenarios as numpy arrays, CHUNK at a time, from the random stream that
+one scalar draw per value would read.  The arrays settle each margin that
+lies clearly away from 0; the scalar checks decide the margins within a
+rounding band of 0 and the sides that are not finite, and make the witness.
 """
 
 from __future__ import annotations
@@ -21,6 +27,7 @@ from .errors import ConvergenceFailureError, DomainError
 from .measures import check_params
 
 MAX_A1_DRAWS = 100_000  # draws per A1 scenario before the sampler gives up
+CHUNK = 1024  # scenarios (A1: attempts) drawn and judged in one array pass
 MASS_RANGE = (0.1, 10.0)  # log-uniform range of the sampled masses
 DIST_RANGE = (0.1, 10.0)  # log-uniform range of the sampled distances
 C_BAR_MAX = 2.0  # c_bar is drawn from (1, 2), or from [c, 2) under A3c
@@ -126,14 +133,27 @@ def _finite(side: Callable[[], float], alpha: float) -> float:
     return value
 
 
-def _p3(masses, distances, alpha: float, K: float) -> float:
-    """P_alpha of a three-point configuration with prescribed distances."""
+def _p3_value(masses, distances, alpha: float, K: float):
+    """P_alpha of a three-point configuration with prescribed distances.
+
+    The masses and distances are floats, or columns of them.
+    """
     (mx, my, mz), (dxy, dxz, dyz) = masses, distances
-    return _finite(lambda: K * (
+    return K * (
         mx ** (1 + alpha) * (my * dxy + mz * dxz)
         + my ** (1 + alpha) * (mx * dxy + mz * dyz)
         + mz ** (1 + alpha) * (mx * dxz + my * dyz)
-    ), alpha)
+    )
+
+
+def _merged_value(p, q, d_xy, d_xz, alpha: float, K: float):
+    """P_alpha once A1 merges the two masses q at their mean distance from p."""
+    w = 2.0 * q
+    return K * (p ** (1 + alpha) * w + w ** (1 + alpha) * p) * ((d_xy + d_xz) / 2.0)
+
+
+def _p3(masses, distances, alpha: float, K: float) -> float:
+    return _finite(lambda: _p3_value(masses, distances, alpha, K), alpha)
 
 
 def check_axiom1(s: AxiomScenario, K: float = 1.0) -> AxiomVerdict:
@@ -147,9 +167,7 @@ def check_axiom1(s: AxiomScenario, K: float = 1.0) -> AxiomVerdict:
     check_params(K=K)
     a = s.alpha
     before = _p3((s.p, s.q, s.q), (s.d_xy, s.d_xz, s.d_yz), a, K)
-    d_merged = (s.d_xy + s.d_xz) / 2.0
-    w = 2.0 * s.q
-    after = _finite(lambda: K * (s.p ** (1 + a) * w + w ** (1 + a) * s.p) * d_merged, a)
+    after = _finite(lambda: _merged_value(s.p, s.q, s.d_xy, s.d_xz, a, K), a)
     margin = after - before
     closed = _finite(lambda: (2.0 ** a - 1.0) * (s.d_xy + s.d_xz) * s.p, a) > 2.0 * s.q * s.d_yz
     return AxiomVerdict(before, after, margin > 0, margin, closed_form=closed)
@@ -172,7 +190,9 @@ def check_axiom3(s: AxiomScenario, K: float = 1.0) -> AxiomVerdict:
     """Move mass from the middle node to the two equidistant lateral nodes.
 
     ``f_value`` carries f(q/p, alpha, c_bar); a negative value predicts a
-    local polarization increase for outward reallocation.
+    local polarization increase for outward reallocation.  It is ``None``
+    when c_bar > 2, outside f's domain, and when f is not finite: at large
+    alpha its powers of q/p overflow.
     """
     if s.kind not in ("A3", "A3c"):
         raise DomainError(f"expected kind A3 or A3c, got {s.kind!r}")
@@ -182,56 +202,142 @@ def check_axiom3(s: AxiomScenario, K: float = 1.0) -> AxiomVerdict:
     before = _p3((s.p, s.q, s.q), dists, s.alpha, K)
     after = _p3((s.p - 2 * delta, s.q + delta, s.q + delta), dists, s.alpha, K)
     margin = after - before
-    fval = float(f_eval(s.q / s.p, s.alpha, s.c_bar)) if s.c_bar <= 2.0 else None
-    return AxiomVerdict(before, after, margin > 0, margin, f_value=fval)
+    fval = math.nan
+    if s.c_bar <= 2.0:
+        with np.errstate(over="ignore", invalid="ignore"):
+            fval = float(f_eval(s.q / s.p, s.alpha, s.c_bar))
+    return AxiomVerdict(before, after, margin > 0, margin,
+                        f_value=fval if math.isfinite(fval) else None)
 
 
 _CHECKS = {"A1": check_axiom1, "A2": check_axiom2, "A3": check_axiom3, "A3c": check_axiom3}
 
+# An array side differs from its scalar value only where numpy's power rounds
+# x ** y to another float than float.__pow__ does, by a unit in the last place
+# (2^-52 relative).  The sums of positive terms carry that into each side as a
+# few units, plus, where a power is subnormal, a few units of 2^-1074 scaled by
+# K.  A margin beyond _BAND (|before| + |after|) + _FLOOR (1 + K) from 0 thus
+# has the scalar sign, with a factor of hundreds to spare; the scalar check
+# decides the rest.  A side that is not finite gives no margin beyond the band.
+_BAND = 2.0 ** -40
+_FLOOR = 2.0 ** -1000
 
-def _log_uniform(rng: np.random.Generator, lo: float, hi: float) -> float:
-    return float(np.exp(rng.uniform(math.log(lo), math.log(hi))))
+
+def _uniform(u, lo, hi):
+    """``rng.uniform(lo, hi)`` given the draw ``u`` it takes: the same operations and bits."""
+    return lo + (hi - lo) * u
 
 
-def _sample_scenario(kind: str, alpha: float, rng: np.random.Generator,
-                     c_threshold: float | None) -> AxiomScenario:
-    mlo, mhi = MASS_RANGE
-    dlo, dhi = DIST_RANGE
-    if kind == "A1":
-        gain = _finite(lambda: 2.0 ** alpha - 1.0, alpha)
-        for _ in range(MAX_A1_DRAWS):
-            p = _log_uniform(rng, mlo, mhi)
-            q = p * rng.uniform(0.01, 0.99)
-            d1 = _log_uniform(rng, dlo, dhi)
-            d2 = _log_uniform(rng, dlo, dhi)
-            d_xy, d_xz = min(d1, d2), max(d1, d2)
-            # metric consistency: the three distances satisfy the triangle inequality
-            d_yz = rng.uniform(d_xz - d_xy, d_xz + d_xy)
-            # keep only draws that satisfy the proof's closed-form inequality
-            if gain * (d_xy + d_xz) * p > 2.0 * q * d_yz:
-                return AxiomScenario("A1", alpha, p, q, d_xy=d_xy, d_xz=d_xz, d_yz=d_yz)
-        raise ConvergenceFailureError(
-            f"A1 sampler accepted 0 of {MAX_A1_DRAWS} draws at alpha={alpha} "
-            f"(observed acceptance rate 0, below {1 / MAX_A1_DRAWS:g})")
-    if kind == "A2":
-        p = _log_uniform(rng, mlo, mhi)
-        r = p * rng.uniform(0.01, 0.99)
-        q = _log_uniform(rng, mlo, mhi)
-        d_xy = _log_uniform(rng, dlo, dhi)
-        d_yz = d_xy * rng.uniform(0.05, 0.95)
-        d_xz = rng.uniform(d_xy, d_xy + d_yz)  # triangle-consistent, d_xz > d_xy
-        delta = rng.uniform(0.0, min(d_xz - d_xy, d_yz))
-        delta = max(delta, 1e-9 * d_xy)
-        return AxiomScenario("A2", alpha, p, q, r=r, d_xy=d_xy, d_xz=d_xz,
-                             d_yz=d_yz, perturbation=delta)
-    # A3 or A3c; run_suite has checked that 1 < c_threshold < C_BAR_MAX
-    c_bar = rng.uniform(c_threshold or np.nextafter(1.0, 2.0), C_BAR_MAX)
-    p = _log_uniform(rng, mlo, mhi)
-    q = _log_uniform(rng, mlo, mhi)
-    d = _log_uniform(rng, dlo, dhi)
-    delta = p / 2.0 * rng.uniform(0.01, 1.0)
-    return AxiomScenario(kind, alpha, p, q, d=d, c_bar=c_bar,
-                         perturbation=delta, c_threshold=c_threshold)
+def _exp_uniform(u, lo: float, hi: float):
+    """Log-uniform on [lo, hi) given the draw ``u``."""
+    return np.exp(_uniform(u, math.log(lo), math.log(hi)))
+
+
+def _a1_columns(u) -> dict:
+    p = _exp_uniform(u[0], *MASS_RANGE)
+    q = p * _uniform(u[1], 0.01, 0.99)
+    d1, d2 = _exp_uniform(u[2], *DIST_RANGE), _exp_uniform(u[3], *DIST_RANGE)
+    d_xy, d_xz = np.minimum(d1, d2), np.maximum(d1, d2)
+    # metric consistency: the three distances satisfy the triangle inequality
+    d_yz = _uniform(u[4], d_xz - d_xy, d_xz + d_xy)
+    return {"p": p, "q": q, "d_xy": d_xy, "d_xz": d_xz, "d_yz": d_yz}
+
+
+def _a2_columns(u) -> dict:
+    p = _exp_uniform(u[0], *MASS_RANGE)
+    r = p * _uniform(u[1], 0.01, 0.99)
+    q = _exp_uniform(u[2], *MASS_RANGE)
+    d_xy = _exp_uniform(u[3], *DIST_RANGE)
+    d_yz = d_xy * _uniform(u[4], 0.05, 0.95)
+    d_xz = _uniform(u[5], d_xy, d_xy + d_yz)  # triangle-consistent, d_xz > d_xy
+    delta = np.maximum(_uniform(u[6], 0.0, np.minimum(d_xz - d_xy, d_yz)), 1e-9 * d_xy)
+    return {"p": p, "q": q, "r": r, "d_xy": d_xy, "d_xz": d_xz, "d_yz": d_yz,
+            "perturbation": delta}
+
+
+def _a3_columns(u, c_threshold: float | None) -> dict:
+    # run_suite has checked that 1 < c_threshold < C_BAR_MAX
+    c_bar = _uniform(u[0], c_threshold or np.nextafter(1.0, 2.0), C_BAR_MAX)
+    p = _exp_uniform(u[1], *MASS_RANGE)
+    return {"p": p, "q": _exp_uniform(u[2], *MASS_RANGE), "d": _exp_uniform(u[3], *DIST_RANGE),
+            "c_bar": c_bar, "perturbation": p / 2.0 * _uniform(u[4], 0.01, 1.0)}
+
+
+def _chunks(kind: str, alpha: float, count: int, c_threshold: float | None,
+            rng: np.random.Generator):
+    """The suite's scenarios as columns, at most CHUNK rows at a time, in draw order.
+
+    Each scenario takes its draws, one ``rng.random()`` each, in the order of
+    its columns, so row-major blocks of draws give the same scenarios as one
+    scalar draw at a time.  Yields ``(columns, error)``: ``error``, when set,
+    is what drawing the next scenario raises, due once these rows are checked.
+    """
+    if kind != "A1":
+        for start in range(0, count, CHUNK):
+            u = rng.random((min(CHUNK, count - start), 7 if kind == "A2" else 5)).T
+            yield (_a2_columns(u) if kind == "A2" else _a3_columns(u, c_threshold)), None
+        return
+    gain = _finite(lambda: 2.0 ** alpha - 1.0, alpha)
+    cap = MAX_A1_DRAWS
+    need, run = count, 0  # run: draws rejected since the last accepted one
+    while need:
+        # one row of draws per attempt; the rows past the last scenario go unused
+        cols = _a1_columns(rng.random((CHUNK, 5)).T)
+        # keep only draws that satisfy the proof's closed-form inequality
+        with np.errstate(over="ignore"):  # as float * does, an overflow gives inf
+            accepted = (gain * (cols["d_xy"] + cols["d_xz"]) * cols["p"]
+                        > 2.0 * cols["q"] * cols["d_yz"])
+        kept = np.flatnonzero(accepted)[:need]
+        gaps = np.diff(kept, prepend=-1 - run) - 1  # draws rejected before each kept one
+        if len(kept) < need:
+            run = CHUNK - 1 - kept[-1] if len(kept) else run + CHUNK
+            gaps = np.append(gaps, run)
+        over = np.flatnonzero(gaps >= cap)
+        if over.size:
+            yield {name: col[kept[:over[0]]] for name, col in cols.items()}, ConvergenceFailureError(
+                f"A1 sampler accepted 0 of {cap} draws at alpha={alpha} "
+                f"(observed acceptance rate 0, below {1 / cap:g})")
+            return
+        yield {name: col[kept] for name, col in cols.items()}, None
+        need -= len(kept)
+
+
+def _decided(kind: str, cols: dict, alpha: float, K: float):
+    """Which rows the arrays decide, and whether each of those fails.
+
+    A row is left to the scalar check when it may not be a valid scenario
+    (an A2 shift at the edge of its window; A1 and A3 draws pass their
+    checks by construction), when its A1 closed form is not finite, or when
+    its margin lies within the rounding band of 0.
+    """
+    with np.errstate(all="ignore"):
+        if kind == "A1":
+            p, q, d_xy, d_xz = cols["p"], cols["q"], cols["d_xy"], cols["d_xz"]
+            before = _p3_value((p, q, q), (d_xy, d_xz, cols["d_yz"]), alpha, K)
+            after = _merged_value(p, q, d_xy, d_xz, alpha, K)
+            valid = np.isfinite((2.0 ** alpha - 1.0) * (d_xy + d_xz) * p)  # the sampler's bits
+        elif kind == "A2":
+            masses = cols["p"], cols["q"], cols["r"]
+            d_xy, d_xz, d_yz, delta = (cols[k] for k in ("d_xy", "d_xz", "d_yz", "perturbation"))
+            before = _p3_value(masses, (d_xy, d_xz, d_yz), alpha, K)
+            after = _p3_value(masses, (d_xy + delta, d_xz, d_yz - delta), alpha, K)
+            valid = (d_xy + delta < d_xz) & (d_yz - delta > 0)
+        else:
+            p, q, delta, d = cols["p"], cols["q"], cols["perturbation"], cols["d"]
+            dists = (d, d, cols["c_bar"] * d)
+            before = _p3_value((p, q, q), dists, alpha, K)
+            after = _p3_value((p - 2 * delta, q + delta, q + delta), dists, alpha, K)
+            valid = True
+        margin = after - before
+        band = _BAND * (abs(before) + abs(after)) + _FLOOR * (1.0 + K)
+        sure = valid & (abs(margin) > band)
+    return sure, margin < 0
+
+
+def _scenario(kind: str, alpha: float, c_threshold: float | None, cols: dict,
+              i: int) -> AxiomScenario:
+    return AxiomScenario(kind, alpha, c_threshold=c_threshold,
+                         **{name: float(col[i]) for name, col in cols.items()})
 
 
 def run_suite(
@@ -246,7 +352,10 @@ def run_suite(
 
     The witness, when present, is the lowest-index failing scenario together
     with its verdict.  ``c`` is the A3c threshold, in (1, C_BAR_MAX); the other
-    suites take none.
+    suites take none.  Scenarios are drawn and judged CHUNK at a time as
+    arrays; the scalar check decides each margin within the rounding band of
+    0, and makes the witness.  Where drawing or checking scenarios raises,
+    the error is that of the first such scenario in draw order.
     """
     check_params(K, alpha)
     if count < 1:
@@ -262,14 +371,19 @@ def run_suite(
     if seed < 0:
         raise DomainError(f"seed must be non-negative, got {seed}")
     check = _CHECKS[axiom]
-    rng = np.random.default_rng(seed)
     failures = 0
     witness = None
-    for i in range(count):
-        s = _sample_scenario(axiom, alpha, rng, c)
-        verdict = check(s, K)
-        if not verdict.satisfied:
-            failures += 1
-            if witness is None:
-                witness = {"index": i, "scenario": asdict(s), "verdict": asdict(verdict)}
+    done = 0
+    for cols, error in _chunks(axiom, alpha, count, c, np.random.default_rng(seed)):
+        sure, fails = _decided(axiom, cols, alpha, K)
+        for i in np.flatnonzero(~sure):  # in order: the first that raises decides the error
+            fails[i] = not check(_scenario(axiom, alpha, c, cols, i), K).satisfied
+        failures += int(np.count_nonzero(fails))
+        if witness is None and fails.any():
+            i = int(fails.argmax())
+            s = _scenario(axiom, alpha, c, cols, i)
+            witness = {"index": done + i, "scenario": asdict(s), "verdict": asdict(check(s, K))}
+        done += len(fails)
+        if error is not None:
+            raise error
     return AxiomReport(axiom, alpha, c, count, failures, seed, witness)

@@ -17,6 +17,7 @@ import sys
 from dataclasses import asdict
 from functools import cache, partial
 from json.encoder import encode_basestring_ascii
+from operator import itemgetter
 from pathlib import Path
 
 from . import builders
@@ -124,16 +125,35 @@ BUILD_OPTIONS = {
 
 
 def _network_json(net: Network) -> str:
-    """``_json(network_to_dict(net))``, with each edge and node rendered from a template.
+    """``_json(network_to_dict(net))``, with the edges and nodes rendered column by column.
 
     Ids go through the string encoder json uses, and masses and weights are
     finite after validation, so each renders as float.__repr__, as json does.
     """
     ids = dict(zip(net.ids, map(encode_basestring_ascii, net.ids)))
+    # itemgetter, not zip(*net.edges): zip's one iterator per edge would wake the
+    # garbage collector for a full pass on a large network
+    u, v, w = (map(itemgetter(k), net.edges) for k in range(3))
     edge = '    {\n      "u": %s,\n      "v": %s,\n      "w": %s\n    }'
     node = '    {\n      "id": %s,\n      "mass": %s\n    }'
-    return _json({}, edges=[edge % (ids[u], ids[v], float.__repr__(w)) for u, v, w in net.edges],
-                 nodes=[node % (ids[i], float.__repr__(m)) for i, m in zip(net.ids, net.masses)])
+    return _json({}, edges=_records(edge, list(map(ids.get, u)), list(map(ids.get, v)),
+                                    list(map(float.__repr__, w))),
+                 nodes=_records(node, list(ids.values()), list(map(float.__repr__, net.masses))))
+
+
+def _records(template: str, *columns: list[str]) -> list[str]:
+    """``[template % row for row in zip(*columns)]`` as one ``_json`` list item.
+
+    The item is the text ``_json`` would join from one item per record.
+    Slicing each column into the repeated template costs one join in all,
+    where formatting record by record costs one per record.
+    """
+    pieces = template.split("%s")
+    parts = [s for piece in pieces[:-1] for s in (piece, "")] + [pieces[-1], ",\n"]
+    parts *= len(columns[0])
+    for j, column in enumerate(columns):
+        parts[2 * j + 1::2 * len(columns) + 2] = column
+    return ["".join(parts[:-1])] if columns[0] else []
 
 
 def _cmd_build(args) -> int:

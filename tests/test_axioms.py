@@ -173,6 +173,13 @@ class TestAxiom3:
             verdict = check_axiom3(a3(alpha=alpha, p=1.0, q=z, c_bar=c, delta=1e-5))
             assert not verdict.satisfied
 
+    @pytest.mark.filterwarnings("error")
+    def test_f_value_beyond_the_float_range_is_none(self):
+        # (q/p)^alpha = 50^200 overflows, while every power in the sides is finite
+        verdict = check_axiom3(a3(alpha=200.0, p=0.01, q=0.5))
+        assert verdict.f_value is None
+        assert np.isfinite(verdict.margin)
+
     def test_K_does_not_change_the_verdict(self):
         s = a3(alpha=1.5, c_bar=1.05, q=0.8)
         assert check_axiom3(s, K=10.0).satisfied == check_axiom3(s).satisfied
@@ -251,6 +258,18 @@ class TestSuites:
                                  r"rate 0, below 0\.02\)"):
             run_suite("A1", alpha=1e-9, count=10, seed=1)
 
+    def test_a_shift_drawn_at_the_window_edge_raises_as_the_scenario_does(self, monkeypatch):
+        draw = netpolar.axioms._a2_columns
+
+        def edge_at_row_3(u):
+            cols = draw(u)
+            cols["perturbation"][3] = cols["d_xz"][3] - cols["d_xy"][3]
+            return cols
+
+        monkeypatch.setattr(netpolar.axioms, "_a2_columns", edge_at_row_3)
+        with pytest.raises(DomainError, match="^A2 shift outside the admissible window$"):
+            run_suite("A2", alpha=1.0, count=10, seed=1)
+
     def test_unknown_axiom(self):
         with pytest.raises(DomainError, match="unknown axiom 'A7'"):
             run_suite("A7", alpha=1.0, count=10, seed=1)
@@ -265,7 +284,7 @@ class TestSuites:
 
     @pytest.mark.parametrize("c", [-3.0, 0.0, 0.5, 1.0])
     def test_threshold_at_or_below_one_rejected_before_any_draw(self, c, monkeypatch):
-        monkeypatch.setattr(netpolar.axioms, "_sample_scenario", None)  # a draw would fail
+        monkeypatch.setattr(netpolar.axioms, "_chunks", None)  # a draw would fail
         with pytest.raises(DomainError) as exc:
             run_suite("A3c", alpha=1.0, count=10, seed=1, c=c)
         assert str(exc.value) == f"A3c needs a threshold c > 1, got c={c}"

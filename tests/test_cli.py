@@ -431,6 +431,18 @@ class TestErrorHandling:
         assert proc.returncode == 1
         assert "error: alpha must be positive and finite" in proc.stderr
 
+    def test_a3_at_large_alpha_prints_no_warning(self):
+        # f's powers of q/p overflow at alpha = 200; the witness reports f_value None
+        env = {**os.environ, "PYTHONPATH": str(Path(netpolar.__file__).resolve().parents[1])}
+        proc = subprocess.run(
+            [sys.executable, "-m", "netpolar.cli", "axioms", "--suite", "A3", "--seed", "1",
+             "--samples", "300", "--alpha", "200"],
+            capture_output=True, text=True, timeout=30, env=env,
+        )
+        assert proc.returncode == 0
+        assert proc.stdout == "suite=A3 samples=300 failures=132\n"
+        assert proc.stderr == ""
+
     def test_a1_at_tiny_alpha_fails_within_the_timeout(self):
         # almost no draw passes the A1 acceptance test at alpha = 1e-9; the
         # sampler gives up after a fixed number of draws per scenario
