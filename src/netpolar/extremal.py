@@ -25,7 +25,10 @@ from .measures import _distances, bipolar_value, check_params, p_alpha, polariza
 PAIR_TOLERANCE = 1e-12
 MAX_GRID_NODES = 6
 MAX_GRID_POINTS = 5_000_000
-GRID_BLOCK_ROWS = 65_536
+# the grid is made and evaluated GRID_BLOCK_ROWS rows at a time (one more where
+# that avoids a block of one row), so verify_bipolar_max's memory does not grow
+# with the grid; MAX_GRID_POINTS bounds its time
+GRID_BLOCK_ROWS = 8_192
 
 
 @dataclass(frozen=True)
@@ -78,44 +81,110 @@ def merge_reduction(net: Network) -> Network:
                     dist.diameter)
 
 
-def simplex_grid(n: int, units: int) -> np.ndarray:
-    """All compositions of ``units`` into ``n`` parts, scaled to sum to 1.
+def _row_counts(rest: np.ndarray, parts: int) -> np.ndarray:
+    """C(rest + parts - 1, parts - 1): the compositions of each ``rest`` into ``parts`` parts."""
+    counts = np.ones(len(rest), dtype=np.int64)
+    for i in range(1, parts):
+        counts = counts * (rest + i) // i
+    return counts
 
-    Rows come in lexicographic order, the order of
-    ``itertools.combinations(range(units + n - 1), n - 1)`` read as
-    divider positions; verify_bipolar_max breaks ties by this order.
+
+def _complete(cols: list[np.ndarray], rest: np.ndarray, parts: int) -> list[np.ndarray]:
+    """The prefix rows given column by column in ``cols``, each followed by
+    every composition of its ``rest`` into ``parts`` parts, column by column.
     """
-    parts = np.zeros((1, 0), dtype=np.int32)
-    rest = np.array([units], dtype=np.int32)
-    for _ in range(n - 1):
+    for _ in range(parts - 1):
         # each row with r units left becomes r + 1 rows, its next part 0..r
         counts = rest + 1
-        starts = np.cumsum(counts) - counts
-        part = (np.arange(counts.sum(), dtype=np.int32)
-                - np.repeat(starts, counts).astype(np.int32))
-        parts = np.column_stack([np.repeat(parts, counts, axis=0), part])
+        starts = (np.cumsum(counts) - counts).astype(np.int32)
+        part = np.arange(counts.sum(), dtype=np.int32) - np.repeat(starts, counts)
+        cols = [np.repeat(col, counts) for col in cols] + [part]
         rest = np.repeat(rest, counts) - part
-    grid = np.empty((len(rest), n))
-    grid[:, :-1] = parts
-    grid[:, -1] = rest
-    grid /= units
-    return grid
+    return cols + [rest]
 
 
-def _evaluate_grid(grid: np.ndarray, d: np.ndarray, alpha: float) -> tuple[np.ndarray, float]:
-    """P_alpha (K = 1) of every grid row on ``d``, and the bipolar value at unit mass.
-
-    Rows that split the mass half-half across a diameter pair count as bipolar
-    and read -inf.  Rows are evaluated in blocks of at least GRID_BLOCK_ROWS,
-    which bounds the temporaries and gives the same bits as one call.
+def _runs(cols: list[np.ndarray], rest: np.ndarray, parts: int):
+    """Each prefix row (``cols``, one array per part) completed by every
+    composition of its ``rest`` into ``parts`` parts, in lexicographic order,
+    one run of consecutive prefixes of at most GRID_BLOCK_ROWS rows at a time.
+    A prefix whose completions alone exceed the budget is split on its next
+    part, GRID_BLOCK_ROWS values at a time, so no array grows with the grid.
     """
+    counts = _row_counts(rest, parts)
+    ends = np.cumsum(counts)
+    i = 0
+    while i < len(rest):
+        j = int(np.searchsorted(ends, ends[i] - counts[i] + GRID_BLOCK_ROWS, side="right"))
+        if j > i:
+            yield _complete([col[i:j] for col in cols], rest[i:j], parts)
+        else:
+            for start in range(0, rest[i] + 1, GRID_BLOCK_ROWS):
+                part = np.arange(start, min(start + GRID_BLOCK_ROWS, rest[i] + 1), dtype=np.int32)
+                yield from _runs([np.repeat(col[i], len(part)) for col in cols] + [part],
+                                 rest[i] - part, parts - 1)
+            j = i + 1
+        i = j
+
+
+def _scaled(pieces: list[list[np.ndarray]], rows: int, units: int) -> np.ndarray:
+    """The runs ``pieces`` stacked into one block of ``rows`` rows, divided by ``units``."""
+    block = np.empty((rows, len(pieces[0])))
+    start = 0
+    for piece in pieces:
+        stop = start + len(piece[0])
+        for j, col in enumerate(piece):
+            np.divide(col, units, out=block[start:stop, j])
+        start = stop
+    return block
+
+
+def _grid_blocks(n: int, units: int):
+    """The compositions of ``units`` into ``n`` parts, scaled to sum to 1, in blocks.
+
+    Rows come in lexicographic order, the order of
+    ``itertools.combinations(range(units + n - 1), n - 1)`` read as divider
+    positions; verify_bipolar_max breaks ties by this order.  Blocks are
+    filled from consecutive runs up to GRID_BLOCK_ROWS rows, so memory does
+    not grow with the grid.  A last run of one row joins the block before it:
+    a one-row batch takes BLAS's vector path in ``p_alpha`` and can differ
+    from a larger batch in the last bit.
+    """
+    left = math.comb(units + n - 1, n - 1)  # rows not yet yielded
+    pieces, rows = [], 0
+    for piece in _runs([], np.array([units], dtype=np.int32), n):
+        if rows + len(piece[0]) > GRID_BLOCK_ROWS and left - rows > 1:
+            yield _scaled(pieces, rows, units)
+            pieces, left, rows = [], left - rows, 0
+        pieces.append(piece)
+        rows += len(piece[0])
+    yield _scaled(pieces, rows, units)
+
+
+def simplex_grid(n: int, units: int) -> np.ndarray:
+    """All compositions of ``units`` into ``n`` parts, scaled to sum to 1, in
+    one array: the blocks of :func:`_grid_blocks` joined, in the same order.
+    """
+    return np.concatenate(list(_grid_blocks(n, units)))
+
+
+def _diameter_pairs(d: np.ndarray) -> list[tuple[int, int]]:
+    """The node pairs ``i < j`` whose distance is the diameter, within PAIR_TOLERANCE."""
     diameter = float(d.max())
-    blocks = np.array_split(grid, max(1, len(grid) // GRID_BLOCK_ROWS))
-    values = np.concatenate([p_alpha(block, d, alpha, 1.0) for block in blocks])
-    for i, j in itertools.combinations(range(grid.shape[1]), 2):
-        if abs(d[i, j] - diameter) <= PAIR_TOLERANCE * max(diameter, 1.0):
-            values[(grid[:, i] == 0.5) & (grid[:, j] == 0.5)] = -np.inf
-    return values, bipolar_value(diameter, 1.0, alpha, 1.0)
+    return [(i, j) for i, j in itertools.combinations(range(len(d)), 2)
+            if abs(d[i, j] - diameter) <= PAIR_TOLERANCE * max(diameter, 1.0)]
+
+
+def _evaluate_block(block: np.ndarray, d: np.ndarray, alpha: float,
+                    pairs: list[tuple[int, int]]) -> np.ndarray:
+    """P_alpha (K = 1) of every row of ``block`` on ``d``.
+
+    Rows that split the mass half-half across one of the diameter ``pairs``
+    count as bipolar and read -inf.
+    """
+    values = p_alpha(block, d, alpha, 1.0)
+    for i, j in pairs:
+        values[(block[:, i] == 0.5) & (block[:, j] == 0.5)] = -np.inf
+    return values
 
 
 def verify_bipolar_max(
@@ -128,7 +197,8 @@ def verify_bipolar_max(
     Total mass is normalized to 1 internally (order-safe by homotheticity).
     Distributions equal to a half-half split on any diameter pair count as
     bipolar and are excluded from the comparison; the report flags whether
-    the bipolar value strictly dominates everything else on the grid.
+    the bipolar value strictly dominates everything else on the grid.  The
+    grid is evaluated block by block and only the first best row is kept.
     """
     if net.n > MAX_GRID_NODES:
         raise DomainError(f"{net.n} nodes exceed the exhaustive-mode limit {MAX_GRID_NODES}")
@@ -143,21 +213,27 @@ def verify_bipolar_max(
     if math.comb(units + net.n - 1, net.n - 1) > MAX_GRID_POINTS:
         raise DomainError(f"grid step {grid_step} creates too many points")
 
-    grid = simplex_grid(net.n, units)
-    values, bipolar = _evaluate_grid(grid, geodesic_distances(net).d, alpha)
-    best = int(np.argmax(values))
-    best_value = float(values[best])
+    d = geodesic_distances(net).d
+    pairs = _diameter_pairs(d)
+    bipolar = bipolar_value(float(d.max()), 1.0, alpha, 1.0)
+    # a point mass reads 0, so some row beats -inf
+    best_value, best = -np.inf, None
+    for block in _grid_blocks(net.n, units):
+        values = _evaluate_block(block, d, alpha, pairs)
+        i = int(np.argmax(values))
+        # strict: a tie keeps the earlier row
+        if values[i] > best_value:
+            best_value, best = float(values[i]), tuple(block[i].tolist())
     is_max = best_value < bipolar
-    witness = None if is_max else tuple(grid[best])
     return ExtremalReport(
         node_count=net.n,
         alpha=alpha,
         grid_step=grid_step,
         bipolar_value=bipolar,
         best_value=best_value,
-        best_distribution=tuple(grid[best]),
+        best_distribution=best,
         is_bipolar_max=is_max,
-        witness=witness,
+        witness=None if is_max else best,
     )
 
 

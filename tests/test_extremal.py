@@ -3,6 +3,7 @@
 import itertools
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,7 +12,9 @@ from netpolar.errors import DomainError
 from netpolar.extremal import (
     ALPHA_STAR,
     GRID_BLOCK_ROWS,
-    _evaluate_grid,
+    _diameter_pairs,
+    _evaluate_block,
+    _grid_blocks,
     bipolar_distribution,
     counterexample_search,
     diameter_dominance_check,
@@ -20,7 +23,7 @@ from netpolar.extremal import (
     verify_bipolar_max,
 )
 from netpolar.graph import geodesic_distances, validate_network
-from netpolar.measures import MeasureParams, p_alpha, polarization
+from netpolar.measures import MeasureParams, bipolar_value, p_alpha, polarization
 
 from conftest import random_connected_network
 
@@ -33,6 +36,14 @@ def unit_complete(n, weight=1.0, masses=None):
     masses = masses if masses is not None else [1.0] * n
     edges = [(a, b, weight) for a, b in itertools.combinations(ids, 2)]
     return validate_network(list(zip(ids, masses)), edges)
+
+
+def mixed_cycle():
+    """Six nodes on a cycle of mixed weights; its unique diameter pair is (1, 4)."""
+    ids = [f"c{i}" for i in range(6)]
+    weights = [1.0, 2.5, 0.5, 1.5, 1.0, 3.0]
+    return validate_network([(i, 1.0) for i in ids],
+                            [(ids[i], ids[(i + 1) % 6], w) for i, w in enumerate(weights)])
 
 
 def eps_triangle(eps, base=1.0, masses=(1.0, 0.0, 0.0)):
@@ -130,8 +141,12 @@ class TestSimplexGrid:
             (0.0, 1.0), (0.5, 0.5), (1.0, 0.0),
         ]
 
+    # at a multiple of GRID_BLOCK_ROWS the 2-part grid ends in a run of one row
+    BOUNDARY_CASES = [(2, GRID_BLOCK_ROWS), (2, 2 * GRID_BLOCK_ROWS), (2, GRID_BLOCK_ROWS - 1)]
+
     @pytest.mark.parametrize("n, units", [
         (1, 5), (2, 7), (2, 300), (3, 64), (3, 1000), (4, 12), (5, 40), (6, 30),
+        *BOUNDARY_CASES,
     ])
     def test_rows_in_divider_order(self, n, units):
         # row order sets the tie-break of every argmax over the grid
@@ -142,23 +157,33 @@ class TestSimplexGrid:
         expected = np.array(rows, dtype=float) / units
         assert np.array_equal(simplex_grid(n, units), expected)
 
+    @pytest.mark.parametrize("n, units", [(1, 5), (2, 1), (3, 1000), (5, 40), (6, 40),
+                                          *BOUNDARY_CASES])
+    def test_blocks_fit_the_budget_and_never_hold_one_row(self, n, units):
+        sizes = [len(block) for block in _grid_blocks(n, units)]
+        assert sum(sizes) == math.comb(units + n - 1, n - 1)
+        assert max(sizes) <= GRID_BLOCK_ROWS + 1
+        assert min(sizes) > 1 or sizes == [1]
+
 
 class TestEvaluateGrid:
-    def test_blocks_give_the_bits_of_one_call(self):
+    @pytest.mark.parametrize("n, units", [(5, 40), (2, GRID_BLOCK_ROWS), (2, 2 * GRID_BLOCK_ROWS)])
+    def test_blocks_give_the_bits_of_one_call(self, n, units):
         rng = np.random.default_rng(12)
-        grid = simplex_grid(5, 40)
-        assert len(grid) > 2 * GRID_BLOCK_ROWS
+        grid = simplex_grid(n, units)
         for _ in range(3):
-            a = rng.uniform(0.5, 2.0, (5, 5))
+            a = rng.uniform(0.5, 2.0, (n, n))
             d = np.triu(a, 1) + np.triu(a, 1).T
+            pairs = _diameter_pairs(d)
             for alpha in (0.5, 1.0, 1.5):
-                got, bipolar = _evaluate_grid(grid, d, alpha)
-                assert bipolar == 2.0 * 0.5 ** (2.0 + alpha) * d.max()
+                got = np.concatenate([_evaluate_block(block, d, alpha, pairs)
+                                      for block in _grid_blocks(n, units)])
                 whole = p_alpha(grid, d, alpha, 1.0)
                 kept = np.isfinite(got)
                 assert np.array_equal(got[kept], whole[kept])
                 # only half-half splits of the unique diameter pair are dropped
                 i, j = np.unravel_index(np.argmax(d), d.shape)
+                assert pairs == [(min(i, j), max(i, j))]
                 assert np.array_equal(~kept, (grid[:, i] == 0.5) & (grid[:, j] == 0.5))
 
 
@@ -189,6 +214,44 @@ class TestVerifyBipolarMax:
     def test_high_exponent_witness_on_the_near_equilateral_triangle(self):
         report = verify_bipolar_max(eps_triangle(0.001), alpha=1.5, grid_step=1.0 / 512.0)
         assert not report.is_bipolar_max
+
+    @pytest.mark.parametrize("net, alpha", [
+        (unit_complete(6), 1.0), (mixed_cycle(), 1.0), (mixed_cycle(), 0.5),
+    ], ids=["complete", "cycle", "cycle-alpha-0.5"])
+    def test_best_row_is_the_first_argmax_of_the_whole_grid(self, net, alpha):
+        # on the complete graph every pair is a diameter pair; on the cycle at alpha = 1
+        # the best value ties between two rows in different blocks
+        grid = simplex_grid(6, 30)
+        d = geodesic_distances(net).d
+        values = p_alpha(grid, d, alpha, 1.0)
+        diameter = d.max()
+        for i, j in itertools.combinations(range(6), 2):
+            if d[i, j] == diameter:
+                values[(grid[:, i] == 0.5) & (grid[:, j] == 0.5)] = -np.inf
+        first = int(np.argmax(values))
+        report = verify_bipolar_max(net, alpha=alpha, grid_step=1.0 / 30.0)
+        assert report.best_distribution == tuple(grid[first])
+        assert report.best_value == values[first]
+        assert report.bipolar_value == bipolar_value(diameter, 1.0, alpha, 1.0)
+
+    @pytest.mark.parametrize("net, units", [
+        (mixed_cycle(), 30), (mixed_cycle(), 40), (unit_complete(2), 2_000_000),
+    ], ids=["6-nodes-1/30", "6-nodes-1/40", "2-nodes-1/2e6"])
+    def test_memory_does_not_grow_with_the_grid(self, net, units):
+        # the 6-node grid at step 1/40 is 1,221,759 rows, 59 MB of float64;
+        # on 2 nodes a single first part already has 2,000,001 values
+        tracemalloc.start()
+        try:
+            verify_bipolar_max(net, grid_step=1.0 / units)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2 ** 20, peak
+
+    def test_distributions_hold_python_floats(self):
+        report = verify_bipolar_max(eps_triangle(0.001), alpha=0.5, grid_step=1.0 / 64.0)
+        assert all(type(x) is float for x in report.best_distribution + report.witness)
+        assert "np.float64" not in repr(report)
 
     def test_report_serializes(self):
         report = verify_bipolar_max(unit_complete(3), grid_step=0.25)
@@ -279,8 +342,9 @@ class TestCounterexampleSearch:
         grid = simplex_grid(3, 120)
         found = False
         for eps in np.geomspace(1e-6, 1.0, 13):
-            values, bipolar = _evaluate_grid(grid, geodesic_distances(eps_triangle(eps)).d, alpha)
-            found |= bool((values > bipolar).any())
+            d = geodesic_distances(eps_triangle(eps)).d
+            values = _evaluate_block(grid, d, alpha, _diameter_pairs(d))
+            found |= bool((values > bipolar_value(d.max(), 1.0, alpha, 1.0)).any())
         if found:
             assert counterexample_search(alpha) is not None
         if alpha in (0.75, 1.25, 1.5):

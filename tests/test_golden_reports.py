@@ -5,7 +5,8 @@ so that the configuration echoed in the report is fixed too.  The digests
 were recorded before the column-wise validator and the hand-written
 distance matrix writer went in, and the ``build`` runs with escaped ids, a
 one-point line and 3-D lattices before the array-built builders and the
-hand-written ``build`` writer went in, so a change to ingest, a builder or a
+hand-written ``build`` writer went in, and the ``extremal`` runs before the
+grid was streamed in blocks, so a change to ingest, a builder, the grid or a
 writer that alters a single byte fails here.
 """
 
@@ -41,6 +42,12 @@ INPUTS = {
                    '"Zoë ""Q"" Ng",Grün,1,0,1\nback\\slash,Grün,1,0,0\n'
                    '日本,"Ré""d 🙂",0,0,1\ncafé,"Ré""d 🙂",1,0,1\n"𝄞\\""x","Ré""d 🙂",1,1,1\n',
     "point.csv": "4.5,2\n",
+    # near-equilateral: at alpha = 0.5 the grid holds a witness
+    "triangle.json": json.dumps({
+        "nodes": [{"id": "x", "mass": 1}, {"id": "y", "mass": 1}, {"id": "z", "mass": 1}],
+        "edges": [{"u": "x", "v": "y", "w": 1}, {"u": "x", "v": "z", "w": 1},
+                  {"u": "y", "v": "z", "w": 1.001}],
+    }),
     "space.csv": "0.1,0.2,0.3,1\n1.7,-2.3,0.05,2\n3.14159,2.71828,-1.41421,0.5\n"
                  "-0.333,0.667,9.99,1\n1e-3,7.25,-0.6,0\n",
 }
@@ -65,6 +72,9 @@ RUNS = {
     "build-lattice-3d-euclidean": ["build", "lattice", "--input", "space.csv", "--norm", "euclidean"],
     "build-lattice-3d-manhattan": ["build", "lattice", "--input", "space.csv"],
     "build-lattice-3d-chebyshev": ["build", "lattice", "--input", "space.csv", "--norm", "chebyshev"],
+    "extremal-zero-weight": ["extremal", "--network", "net.json", "--step", "0.03333333333333333"],
+    "extremal-witness": ["extremal", "--network", "triangle.json", "--alpha", "0.5",
+                         "--step", "0.015625"],
 }
 GOLDEN = {
     "distances-json": "3a8c711b41944de1922fe88e7c690af9489f0cd5554763679308fb27a03e6921",
@@ -87,6 +97,8 @@ GOLDEN = {
     "build-lattice-3d-euclidean": "54ea66ba4751bacddc7dd6faa5797269be210c934cdd267ac65ad9b10fcd23a5",
     "build-lattice-3d-manhattan": "63b35d8ba78d38cbfc97f42f52263dfd5aebf246572eb118f0ea78d269ee6b59",
     "build-lattice-3d-chebyshev": "5d1dc7e27c32c6734ae34f3fb6ee70f0bbe6d87f5f2bae42e7b9356d7e4539a3",
+    "extremal-zero-weight": "9a0a1f83c114ec125baf0c70eb207a6d7f2d41aace2ca0f13b653103dfee9124",
+    "extremal-witness": "14c96f96834f017dcee8bbb6f6028f5643d184e6f3a7b8aabf1b167adfb69226",
 }
 
 
