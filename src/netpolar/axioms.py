@@ -2,8 +2,9 @@
 
 Each scenario is a two- or three-point configuration given by masses and
 pairwise geodesic distances; both sides of an axiom's conclusion are
-evaluated as explicit P_alpha sums and compared.  Scenarios check
-themselves when they are made.
+evaluated as explicit P_alpha sums, written once per kind for one scenario
+and for a chunk's columns alike, and compared.  Scenarios check themselves
+when they are made.
 
 Randomized suites sample scenarios from fixed log-uniform intervals and
 report the failure count and the first failing witness.  They draw and judge
@@ -73,10 +74,9 @@ class AxiomScenario:
                 raise DomainError("A2 needs d_xy, d_xz, d_yz")
             if not (self.d_xz > self.d_xy > self.d_yz > 0):
                 raise DomainError("A2 needs d_xz > d_xy > d_yz > 0")
-            delta = self.perturbation
-            if delta is None or not 0 < delta:
+            if self.perturbation is None or not 0 < self.perturbation:
                 raise DomainError("A2 needs a positive shift")
-            if not (self.d_xy + delta < self.d_xz and self.d_yz - delta > 0):
+            if not _a2_window(vars(self)):
                 raise DomainError("A2 shift outside the admissible window")
         elif self.kind in ("A3", "A3c"):
             if not (self.p > 0 and self.q > 0):
@@ -146,14 +146,51 @@ def _p3_value(masses, distances, alpha: float, K: float):
     )
 
 
-def _merged_value(p, q, d_xy, d_xz, alpha: float, K: float):
-    """P_alpha once A1 merges the two masses q at their mean distance from p."""
-    w = 2.0 * q
-    return K * (p ** (1 + alpha) * w + w ** (1 + alpha) * p) * ((d_xy + d_xz) / 2.0)
+def _a1_closed_form(v, alpha: float):
+    """The proof's A1 inequality (2^alpha - 1)(d_xy + d_xz) p > 2 q d_yz, as a thunk
+    for its left side, which may overflow, and the value of its right side."""
+    return (lambda: (2.0 ** alpha - 1.0) * (v["d_xy"] + v["d_xz"]) * v["p"],
+            2.0 * v["q"] * v["d_yz"])
 
 
-def _p3(masses, distances, alpha: float, K: float) -> float:
-    return _finite(lambda: _p3_value(masses, distances, alpha, K), alpha)
+def _a2_window(v):
+    """Whether the A2 shift keeps d_xy + delta < d_xz and d_yz - delta > 0."""
+    return (v["d_xy"] + v["perturbation"] < v["d_xz"]) & (v["d_yz"] - v["perturbation"] > 0)
+
+
+def _a1_sides(v, alpha: float, K: float):
+    p, q, d_xy, d_xz = v["p"], v["q"], v["d_xy"], v["d_xz"]
+    w = 2.0 * q  # the two masses q merged at their mean distance from p
+    return (lambda: _p3_value((p, q, q), (d_xy, d_xz, v["d_yz"]), alpha, K),
+            lambda: K * (p ** (1 + alpha) * w + w ** (1 + alpha) * p) * ((d_xy + d_xz) / 2.0))
+
+
+def _a2_sides(v, alpha: float, K: float):
+    masses, delta = (v["p"], v["q"], v["r"]), v["perturbation"]
+    return (lambda: _p3_value(masses, (v["d_xy"], v["d_xz"], v["d_yz"]), alpha, K),
+            lambda: _p3_value(masses, (v["d_xy"] + delta, v["d_xz"], v["d_yz"] - delta), alpha, K))
+
+
+def _a3_sides(v, alpha: float, K: float):
+    p, q, delta, d = v["p"], v["q"], v["perturbation"], v["d"]
+    dists = (d, d, v["c_bar"] * d)
+    return (lambda: _p3_value((p, q, q), dists, alpha, K),
+            lambda: _p3_value((p - 2 * delta, q + delta, q + delta), dists, alpha, K))
+
+
+# each kind's P_alpha before and after its move, as two thunks over the values
+# of one scenario (floats) or of a chunk (columns)
+_SIDES = {"A1": _a1_sides, "A2": _a2_sides, "A3": _a3_sides, "A3c": _a3_sides}
+
+
+def _judged(s: AxiomScenario, kinds: tuple[str, ...], K: float) -> tuple:
+    """Before, after, satisfied and margin of ``s``, which must be of one of ``kinds``;
+    a side beyond the float range is a :class:`DomainError`."""
+    if s.kind not in kinds:
+        raise DomainError(f"expected kind {' or '.join(kinds)}, got {s.kind!r}")
+    check_params(K=K)
+    before, after = (_finite(side, s.alpha) for side in _SIDES[s.kind](vars(s), s.alpha, K))
+    return before, after, after - before > 0, after - before
 
 
 def check_axiom1(s: AxiomScenario, K: float = 1.0) -> AxiomVerdict:
@@ -162,28 +199,14 @@ def check_axiom1(s: AxiomScenario, K: float = 1.0) -> AxiomVerdict:
     ``closed_form`` reports the proof's equivalent inequality
     (2^alpha - 1)(d_xy + d_xz) p > 2 q d_yz for cross-validation.
     """
-    if s.kind != "A1":
-        raise DomainError(f"expected kind A1, got {s.kind!r}")
-    check_params(K=K)
-    a = s.alpha
-    before = _p3((s.p, s.q, s.q), (s.d_xy, s.d_xz, s.d_yz), a, K)
-    after = _finite(lambda: _merged_value(s.p, s.q, s.d_xy, s.d_xz, a, K), a)
-    margin = after - before
-    closed = _finite(lambda: (2.0 ** a - 1.0) * (s.d_xy + s.d_xz) * s.p, a) > 2.0 * s.q * s.d_yz
-    return AxiomVerdict(before, after, margin > 0, margin, closed_form=closed)
+    judged = _judged(s, ("A1",), K)
+    gain, bound = _a1_closed_form(vars(s), s.alpha)
+    return AxiomVerdict(*judged, closed_form=_finite(gain, s.alpha) > bound)
 
 
 def check_axiom2(s: AxiomScenario, K: float = 1.0) -> AxiomVerdict:
     """Shift the middle group toward the smaller extreme by the given step."""
-    if s.kind != "A2":
-        raise DomainError(f"expected kind A2, got {s.kind!r}")
-    check_params(K=K)
-    delta = s.perturbation
-    masses = (s.p, s.q, s.r)
-    before = _p3(masses, (s.d_xy, s.d_xz, s.d_yz), s.alpha, K)
-    after = _p3(masses, (s.d_xy + delta, s.d_xz, s.d_yz - delta), s.alpha, K)
-    margin = after - before
-    return AxiomVerdict(before, after, margin > 0, margin)
+    return AxiomVerdict(*_judged(s, ("A2",), K))
 
 
 def check_axiom3(s: AxiomScenario, K: float = 1.0) -> AxiomVerdict:
@@ -194,20 +217,12 @@ def check_axiom3(s: AxiomScenario, K: float = 1.0) -> AxiomVerdict:
     when c_bar > 2, outside f's domain, and when f is not finite: at large
     alpha its powers of q/p overflow.
     """
-    if s.kind not in ("A3", "A3c"):
-        raise DomainError(f"expected kind A3 or A3c, got {s.kind!r}")
-    check_params(K=K)
-    delta = s.perturbation
-    dists = (s.d, s.d, s.c_bar * s.d)
-    before = _p3((s.p, s.q, s.q), dists, s.alpha, K)
-    after = _p3((s.p - 2 * delta, s.q + delta, s.q + delta), dists, s.alpha, K)
-    margin = after - before
+    judged = _judged(s, ("A3", "A3c"), K)
     fval = math.nan
     if s.c_bar <= 2.0:
         with np.errstate(over="ignore", invalid="ignore"):
             fval = float(f_eval(s.q / s.p, s.alpha, s.c_bar))
-    return AxiomVerdict(before, after, margin > 0, margin,
-                        f_value=fval if math.isfinite(fval) else None)
+    return AxiomVerdict(*judged, f_value=fval if math.isfinite(fval) else None)
 
 
 _CHECKS = {"A1": check_axiom1, "A2": check_axiom2, "A3": check_axiom3, "A3c": check_axiom3}
@@ -277,16 +292,16 @@ def _chunks(kind: str, alpha: float, count: int, c_threshold: float | None,
             u = rng.random((min(CHUNK, count - start), 7 if kind == "A2" else 5)).T
             yield (_a2_columns(u) if kind == "A2" else _a3_columns(u, c_threshold)), None
         return
-    gain = _finite(lambda: 2.0 ** alpha - 1.0, alpha)
+    _finite(lambda: 2.0 ** alpha - 1.0, alpha)  # from alpha = 1024 an error before any draw
     cap = MAX_A1_DRAWS
     need, run = count, 0  # run: draws rejected since the last accepted one
     while need:
         # one row of draws per attempt; the rows past the last scenario go unused
         cols = _a1_columns(rng.random((CHUNK, 5)).T)
         # keep only draws that satisfy the proof's closed-form inequality
+        gain, bound = _a1_closed_form(cols, alpha)
         with np.errstate(over="ignore"):  # as float * does, an overflow gives inf
-            accepted = (gain * (cols["d_xy"] + cols["d_xz"]) * cols["p"]
-                        > 2.0 * cols["q"] * cols["d_yz"])
+            accepted = gain() > bound
         kept = np.flatnonzero(accepted)[:need]
         gaps = np.diff(kept, prepend=-1 - run) - 1  # draws rejected before each kept one
         if len(kept) < need:
@@ -311,23 +326,9 @@ def _decided(kind: str, cols: dict, alpha: float, K: float):
     its margin lies within the rounding band of 0.
     """
     with np.errstate(all="ignore"):
-        if kind == "A1":
-            p, q, d_xy, d_xz = cols["p"], cols["q"], cols["d_xy"], cols["d_xz"]
-            before = _p3_value((p, q, q), (d_xy, d_xz, cols["d_yz"]), alpha, K)
-            after = _merged_value(p, q, d_xy, d_xz, alpha, K)
-            valid = np.isfinite((2.0 ** alpha - 1.0) * (d_xy + d_xz) * p)  # the sampler's bits
-        elif kind == "A2":
-            masses = cols["p"], cols["q"], cols["r"]
-            d_xy, d_xz, d_yz, delta = (cols[k] for k in ("d_xy", "d_xz", "d_yz", "perturbation"))
-            before = _p3_value(masses, (d_xy, d_xz, d_yz), alpha, K)
-            after = _p3_value(masses, (d_xy + delta, d_xz, d_yz - delta), alpha, K)
-            valid = (d_xy + delta < d_xz) & (d_yz - delta > 0)
-        else:
-            p, q, delta, d = cols["p"], cols["q"], cols["perturbation"], cols["d"]
-            dists = (d, d, cols["c_bar"] * d)
-            before = _p3_value((p, q, q), dists, alpha, K)
-            after = _p3_value((p - 2 * delta, q + delta, q + delta), dists, alpha, K)
-            valid = True
+        before, after = (side() for side in _SIDES[kind](cols, alpha, K))
+        valid = (np.isfinite(_a1_closed_form(cols, alpha)[0]()) if kind == "A1"
+                 else _a2_window(cols) if kind == "A2" else True)
         margin = after - before
         band = _BAND * (abs(before) + abs(after)) + _FLOOR * (1.0 + K)
         sure = valid & (abs(margin) > band)

@@ -25,9 +25,10 @@ from .measures import _distances, bipolar_value, check_params, p_alpha, polariza
 PAIR_TOLERANCE = 1e-12
 MAX_GRID_NODES = 6
 MAX_GRID_POINTS = 5_000_000
-# the grid is made and evaluated GRID_BLOCK_ROWS rows at a time (one more where
-# that avoids a block of one row), so verify_bipolar_max's memory does not grow
-# with the grid; MAX_GRID_POINTS bounds its time
+# the grid is made and evaluated in runs of at most GRID_BLOCK_ROWS rows (one
+# more where a last run of one row joins the run before it), so
+# verify_bipolar_max's memory does not grow with the grid; MAX_GRID_POINTS
+# bounds its time
 GRID_BLOCK_ROWS = 8_192
 
 
@@ -126,38 +127,25 @@ def _runs(cols: list[np.ndarray], rest: np.ndarray, parts: int):
         i = j
 
 
-def _scaled(pieces: list[list[np.ndarray]], rows: int, units: int) -> np.ndarray:
-    """The runs ``pieces`` stacked into one block of ``rows`` rows, divided by ``units``."""
-    block = np.empty((rows, len(pieces[0])))
-    start = 0
-    for piece in pieces:
-        stop = start + len(piece[0])
-        for j, col in enumerate(piece):
-            np.divide(col, units, out=block[start:stop, j])
-        start = stop
-    return block
-
-
 def _grid_blocks(n: int, units: int):
     """The compositions of ``units`` into ``n`` parts, scaled to sum to 1, in blocks.
 
     Rows come in lexicographic order, the order of
     ``itertools.combinations(range(units + n - 1), n - 1)`` read as divider
-    positions; verify_bipolar_max breaks ties by this order.  Blocks are
-    filled from consecutive runs up to GRID_BLOCK_ROWS rows, so memory does
-    not grow with the grid.  A last run of one row joins the block before it:
-    a one-row batch takes BLAS's vector path in ``p_alpha`` and can differ
-    from a larger batch in the last bit.
+    positions; verify_bipolar_max breaks ties by this order.  Each run of
+    :func:`_runs` is one block, so memory does not grow with the grid.  A run
+    of one row joins the block before it: a one-row batch takes BLAS's vector
+    path in ``p_alpha`` and can differ from a larger batch in the last bit.
     """
-    left = math.comb(units + n - 1, n - 1)  # rows not yet yielded
-    pieces, rows = [], 0
-    for piece in _runs([], np.array([units], dtype=np.int32), n):
-        if rows + len(piece[0]) > GRID_BLOCK_ROWS and left - rows > 1:
-            yield _scaled(pieces, rows, units)
-            pieces, left, rows = [], left - rows, 0
-        pieces.append(piece)
-        rows += len(piece[0])
-    yield _scaled(pieces, rows, units)
+    runs = (np.column_stack(run) / units for run in _runs([], np.array([units], dtype=np.int32), n))
+    block = next(runs)
+    for run in runs:
+        if len(run) > 1:
+            yield block
+            block = run
+        else:
+            block = np.concatenate([block, run])
+    yield block
 
 
 def simplex_grid(n: int, units: int) -> np.ndarray:
@@ -251,7 +239,8 @@ def counterexample_search(alpha: float) -> dict | None:
     Above 2, x(1 - x)(x^alpha + (1 - x)^alpha) has a local minimum at 1/2, so
     the best masses (0, x, 1 - x) of a fixed scan win at any eps; eps = b.
     ``None`` on [ALPHA_STAR, 2], where no witness exists, and wherever the
-    float value does not exceed the bipolar value.
+    float value does not exceed the bipolar value or rounding leaves eps <= 0
+    (just below ALPHA_STAR, where the family degenerates to b + eps <= b).
     """
     check_params(alpha=alpha)
     if alpha == 1.0:
@@ -271,7 +260,7 @@ def counterexample_search(alpha: float) -> dict | None:
     d = np.array([[0.0, b, b], [b, 0.0, b + eps], [b, b + eps, 0.0]])
     value = float(p_alpha(masses, d, alpha, 1.0))
     bipolar = bipolar_value(b + eps, 1.0, alpha, 1.0)
-    if not value > bipolar:
+    if not (value > bipolar and eps > 0):
         return None
     return {"eps": eps, "base_distance": b, "alpha": alpha,
             "masses": [float(m) for m in masses], "value": value, "bipolar_value": bipolar}

@@ -10,6 +10,7 @@ alpha = 1 only, since bipolar maximality is not guaranteed otherwise.
 from __future__ import annotations
 
 import heapq
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -100,11 +101,17 @@ def polarization(
     params = params or MeasureParams()
     dist = _distances(net, dist)
     m = net.mass_vector()
+    value = _finite_p_alpha(m, dist.d, params.alpha, params.K)
+    return MeasureResult(value, params, int(np.count_nonzero(m > 0)))
+
+
+def _finite_p_alpha(m: np.ndarray, d: np.ndarray, alpha: float, K: float) -> float:
+    """:func:`p_alpha` of one mass vector; a sum beyond the float range is a :class:`DomainError`."""
     with np.errstate(over="ignore", invalid="ignore"):  # reported just below
-        value = float(p_alpha(m, dist.d, params.alpha, params.K))
+        value = float(p_alpha(m, d, alpha, K))
     if not np.isfinite(value):
         raise DomainError(f"P_alpha evaluates to {value}: the sum overflows the float range")
-    return MeasureResult(value, params, int(np.count_nonzero(m > 0)))
+    return value
 
 
 def bipolar_maximum_value(net: Network, params: MeasureParams | None = None,
@@ -126,7 +133,10 @@ def normalized_polarization(
     """P_1 divided by its bipolar maximum; defined for alpha = 1 only.
 
     The ratio lies in [0, 1] and equals 1 exactly when the mass is split
-    half-half across a diameter pair.
+    half-half across a diameter pair.  Both measures are homothetic of the
+    same degree, so the ratio is taken on the masses scaled by the power of
+    two that puts their total in [1/2, 1), where neither measure under- or
+    overflows as it can at the raw scale.  ``value`` is P_1 at the raw scale.
     """
     params = params or MeasureParams()
     if params.alpha != 1.0:
@@ -135,9 +145,11 @@ def normalized_polarization(
         raise DomainError("normalization needs positive total mass")
     dist = _distances(net, dist)
     res = polarization(net, params, dist)
-    denom = bipolar_maximum_value(net, params, dist)
+    exponent = math.frexp(net.total_mass)[1]
+    scaled = _finite_p_alpha(np.ldexp(net.mass_vector(), -exponent), dist.d, 1.0, params.K)
+    denom = bipolar_value(dist.diameter, math.ldexp(net.total_mass, -exponent), 1.0, params.K)
     # degenerate graph with zero diameter: every admissible value is 0
-    normalized = res.value / denom if denom > 0 else 0.0
+    normalized = scaled / denom if denom > 0 else 0.0
     return MeasureResult(res.value, params, res.n_nonzero, normalized=normalized)
 
 

@@ -15,6 +15,9 @@ from netpolar.axioms import (
     run_suite,
 )
 from netpolar.errors import ConvergenceFailureError, DomainError
+from netpolar.graph import validate_network
+from netpolar.measures import MeasureParams, polarization_naive_oracle
+from reference_axioms import _sample_scenario
 
 
 def a1(alpha=1.0, p=2.0, q=0.1, d_xy=4.0, d_xz=6.0, d_yz=1.0):
@@ -357,3 +360,47 @@ class TestOverflow:
         # 2^alpha overflows from alpha = 1024, before any scenario is checked
         with pytest.raises(DomainError, match="evaluates to inf at alpha = 1024.0"):
             run_suite("A1", alpha=1024.0, count=1, seed=1)
+
+
+def triangle(masses, d_xy, d_xz, d_yz):
+    """Complete graph on x, y, z; with triangle-consistent distances each edge is a geodesic."""
+    return validate_network(list(zip("xyz", masses)),
+                            [("x", "y", d_xy), ("x", "z", d_xz), ("y", "z", d_yz)])
+
+
+def oracle_networks(s):
+    """The networks before and after the move that scenario ``s`` describes."""
+    if s.kind == "A1":
+        # the two masses q merged onto one node at their mean distance from x
+        merged = validate_network([("x", s.p), ("yz", 2.0 * s.q)],
+                                  [("x", "yz", (s.d_xy + s.d_xz) / 2.0)])
+        return triangle((s.p, s.q, s.q), s.d_xy, s.d_xz, s.d_yz), merged
+    if s.kind == "A2":
+        masses, delta = (s.p, s.q, s.r), s.perturbation
+        return (triangle(masses, s.d_xy, s.d_xz, s.d_yz),
+                triangle(masses, s.d_xy + delta, s.d_xz, s.d_yz - delta))
+    delta, dists = s.perturbation, (s.d, s.d, s.c_bar * s.d)
+    return (triangle((s.p, s.q, s.q), *dists),
+            triangle((s.p - 2 * delta, s.q + delta, s.q + delta), *dists))
+
+
+class TestSidesAgainstTheOracle:
+    """Each side of each axiom equals ``polarization_naive_oracle`` on the network
+    its scenario describes: drawn from the per-sample reference sampler."""
+
+    @pytest.mark.parametrize("kind, c, check", [
+        ("A1", None, check_axiom1), ("A2", None, check_axiom2),
+        ("A3", None, check_axiom3), ("A3c", 1.4, check_axiom3),
+    ], ids=["A1", "A2", "A3", "A3c"])
+    @pytest.mark.parametrize("alpha, K", [(0.5, 1.0), (1.0, 2.5), (1.7, 0.3)])
+    def test_both_sides_match_the_oracle(self, kind, c, check, alpha, K):
+        rng = np.random.default_rng(97)
+        params = MeasureParams(K, alpha)
+        for _ in range(100):
+            s = _sample_scenario(kind, alpha, rng, c)
+            verdict = check(s, K)
+            before, after = oracle_networks(s)
+            assert verdict.before == pytest.approx(polarization_naive_oracle(before, params),
+                                                   rel=1e-12)
+            assert verdict.after == pytest.approx(polarization_naive_oracle(after, params),
+                                                  rel=1e-12)

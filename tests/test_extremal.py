@@ -325,6 +325,13 @@ class TestCounterexampleSearch:
         assert direct == pytest.approx(witness["value"], rel=1e-12)
         assert direct > witness["bipolar_value"]
 
+    # just below ALPHA_STAR, r = 3 (2/3)^(2 + alpha) rounds to at most 1: eps is -1.67e-16
+    # at the first, where b + eps < b makes the thirds seem to win, and 0 at the second
+    @pytest.mark.parametrize("alpha", [0.7095112913514547, 0.7095112913514542])
+    def test_no_witness_where_rounding_leaves_no_positive_eps(self, alpha):
+        assert alpha < ALPHA_STAR
+        assert counterexample_search(alpha) is None
+
     def test_high_exponents_beyond_two_also_yield_witnesses(self):
         assert counterexample_search(2.5) is not None
 

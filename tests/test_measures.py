@@ -233,6 +233,14 @@ class TestNormalized:
             res = normalized_polarization(net)
             assert -1e-12 <= res.normalized <= 1.0 + 1e-12
 
+    @pytest.mark.parametrize("mass, weight, value", [(1e-200, 1.0, 0.0), (1e120, 1e-300, 2e60)])
+    def test_ratio_of_a_bipolar_split_at_any_scale(self, mass, weight, value):
+        # at the raw scale P_1 underflows to 0 at the first, and the bipolar value
+        # overflows at the second; the ratio is scale-free and exactly 1 at both
+        res = normalized_polarization(two_point(mass, mass, weight))
+        assert res.value == value
+        assert res.normalized == 1.0
+
     def test_requires_alpha_one(self):
         with pytest.raises(DomainError, match="only meaningful at alpha = 1"):
             normalized_polarization(two_point(1.0, 1.0), MeasureParams(alpha=2.0))
