@@ -19,13 +19,12 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, asdict
-from typing import Callable
 
 import numpy as np
 
 from .alpha_bounds import f_eval
 from .errors import ConvergenceFailureError, DomainError
-from .measures import check_params
+from .measures import _finite, check_params
 
 MAX_A1_DRAWS = 100_000  # draws per A1 scenario before the sampler gives up
 CHUNK = 1024  # scenarios (A1: attempts) drawn and judged in one array pass
@@ -121,16 +120,8 @@ class AxiomReport:
         return json.dumps(asdict(self), indent=2, sort_keys=True)
 
 
-def _finite(side: Callable[[], float], alpha: float) -> float:
-    """The value of ``side``; beyond the float range it is a :class:`DomainError`."""
-    try:
-        value = side()
-    except OverflowError:  # float ** raises where * gives inf
-        value = math.inf
-    if not math.isfinite(value):
-        raise DomainError(f"an axiom side evaluates to {value} at alpha = {alpha}: "
-                          "it overflows the float range")
-    return value
+# a side beyond the float range: formatted with alpha here, with its value by _finite
+_OVERFLOW = "an axiom side evaluates to {{}} at alpha = {}: it overflows the float range"
 
 
 def _p3_value(masses, distances, alpha: float, K: float):
@@ -189,7 +180,8 @@ def _judged(s: AxiomScenario, kinds: tuple[str, ...], K: float) -> tuple:
     if s.kind not in kinds:
         raise DomainError(f"expected kind {' or '.join(kinds)}, got {s.kind!r}")
     check_params(K=K)
-    before, after = (_finite(side, s.alpha) for side in _SIDES[s.kind](vars(s), s.alpha, K))
+    message = _OVERFLOW.format(s.alpha)
+    before, after = (_finite(side, message) for side in _SIDES[s.kind](vars(s), s.alpha, K))
     return before, after, after - before > 0, after - before
 
 
@@ -201,7 +193,7 @@ def check_axiom1(s: AxiomScenario, K: float = 1.0) -> AxiomVerdict:
     """
     judged = _judged(s, ("A1",), K)
     gain, bound = _a1_closed_form(vars(s), s.alpha)
-    return AxiomVerdict(*judged, closed_form=_finite(gain, s.alpha) > bound)
+    return AxiomVerdict(*judged, closed_form=_finite(gain, _OVERFLOW.format(s.alpha)) > bound)
 
 
 def check_axiom2(s: AxiomScenario, K: float = 1.0) -> AxiomVerdict:
@@ -292,7 +284,7 @@ def _chunks(kind: str, alpha: float, count: int, c_threshold: float | None,
             u = rng.random((min(CHUNK, count - start), 7 if kind == "A2" else 5)).T
             yield (_a2_columns(u) if kind == "A2" else _a3_columns(u, c_threshold)), None
         return
-    _finite(lambda: 2.0 ** alpha - 1.0, alpha)  # from alpha = 1024 an error before any draw
+    _finite(lambda: 2.0 ** alpha - 1.0, _OVERFLOW.format(alpha))  # raises from alpha = 1024
     cap = MAX_A1_DRAWS
     need, run = count, 0  # run: draws rejected since the last accepted one
     while need:

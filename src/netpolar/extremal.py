@@ -20,13 +20,12 @@ import numpy as np
 
 from .errors import DomainError
 from .graph import DistanceMatrix, Network, _checked_nodes, _network, geodesic_distances
-from .measures import _distances, bipolar_value, check_params, p_alpha, polarization
+from .measures import _distances, _finite, bipolar_value, check_params, p_alpha, polarization
 
 PAIR_TOLERANCE = 1e-12
 MAX_GRID_NODES = 6
 MAX_GRID_POINTS = 5_000_000
-# the grid is made and evaluated in runs of at most GRID_BLOCK_ROWS rows (one
-# more where a last run of one row joins the run before it), so
+# the grid is made and evaluated in runs of at most GRID_BLOCK_ROWS rows, so
 # verify_bipolar_max's memory does not grow with the grid; MAX_GRID_POINTS
 # bounds its time
 GRID_BLOCK_ROWS = 8_192
@@ -54,11 +53,11 @@ def bipolar_distribution(net: Network, dist: DistanceMatrix | None = None) -> Ne
     total = net.total_mass
     if total <= 0:
         raise DomainError("bipolar distribution needs positive total mass")
+    # a total beyond the float range may have a half within it
+    half = _finite(lambda: total / 2.0 if total < math.inf else sum(m / 2.0 for m in net.masses),
+                   "half the total mass evaluates to {}: it overflows the float range")
     u, v = _distances(net, dist).diameter_pair
-    masses = tuple(
-        total / 2.0 if i in (u, v) else 0.0 for i in net.ids
-    )
-    return replace(net, masses=masses)
+    return replace(net, masses=tuple(half if i in (u, v) else 0.0 for i in net.ids))
 
 
 def merge_reduction(net: Network) -> Network:
@@ -133,19 +132,10 @@ def _grid_blocks(n: int, units: int):
     Rows come in lexicographic order, the order of
     ``itertools.combinations(range(units + n - 1), n - 1)`` read as divider
     positions; verify_bipolar_max breaks ties by this order.  Each run of
-    :func:`_runs` is one block, so memory does not grow with the grid.  A run
-    of one row joins the block before it: a one-row batch takes BLAS's vector
-    path in ``p_alpha`` and can differ from a larger batch in the last bit.
+    :func:`_runs` is one block, so memory does not grow with the grid.
     """
-    runs = (np.column_stack(run) / units for run in _runs([], np.array([units], dtype=np.int32), n))
-    block = next(runs)
-    for run in runs:
-        if len(run) > 1:
-            yield block
-            block = run
-        else:
-            block = np.concatenate([block, run])
-    yield block
+    for run in _runs([], np.array([units], dtype=np.int32), n):
+        yield np.column_stack(run) / units
 
 
 def simplex_grid(n: int, units: int) -> np.ndarray:

@@ -233,8 +233,10 @@ def average_path_length(net: Network) -> float:
     """Mean geodesic distance over ordered node pairs, sum d(i,j) / (n(n-1))."""
     if net.n < 2:
         raise DomainError("average path length needs at least two nodes")
-    dm = geodesic_distances(net)
-    return float(dm.d.sum() / (net.n * (net.n - 1)))
+    d, pairs = geodesic_distances(net).d, net.n * (net.n - 1)
+    with np.errstate(over="ignore"):  # a sum beyond the float range is taken of the shares
+        total = d.sum()
+    return float(total / pairs if total < np.inf else (d / pairs).sum())
 
 
 def delete_edge(net: Network, u: str, v: str) -> Network:

@@ -12,11 +12,14 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
 from .errors import DomainError
 from .graph import DistanceMatrix, Network, geodesic_distances
+
+_P_ALPHA_OVERFLOW = "P_alpha evaluates to {}: the sum overflows the float range"
 
 
 @dataclass(frozen=True)
@@ -57,24 +60,43 @@ class MeasureResult:
 def p_alpha(masses: np.ndarray, d: np.ndarray, alpha: float, K: float) -> np.ndarray:
     """P_alpha of an (n,) mass vector ``m``, or of each row of an (N, n) batch, on ``d``.
 
-    K * sum_i m_i^(1+alpha) sum_j d_ij m_j in O(N n) memory.  A one-row batch
-    takes BLAS's vector path and can differ from larger batches in the last bit.
+    K * sum_i m_i^(1+alpha) sum_j d_ij m_j in O(N n) memory.  A one-row batch is taken
+    as two copies of its row, off BLAS's vector path, so a row's bits do not depend on its batch.
     """
+    if masses.ndim == 2 and len(masses) == 1:
+        return p_alpha(np.repeat(masses, 2, axis=0), d, alpha, K)[:1]
     return K * ((masses ** (1.0 + alpha)) @ d * masses).sum(axis=-1)
+
+
+def _finite(evaluate: Callable[[], float], message: str) -> float:
+    """``evaluate()`` as a float; beyond the float range, DomainError(message.format(value))."""
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):  # reported just below
+            value = float(evaluate())
+    except OverflowError:  # float ** raises where * gives inf
+        value = math.inf
+    if not math.isfinite(value):
+        raise DomainError(message.format(value))
+    return value
 
 
 def bipolar_value(diameter: float, total_mass: float, alpha: float, K: float) -> float:
     """P_alpha of the bipolar split, K * diameter * 2 * (M/2)^(2+alpha), M the total mass.
 
-    A value beyond the float range is a :class:`DomainError`.
+    Where the power alone overflows, it is split into a factor in [1, 2) and a power
+    of two, applied last.  A value beyond the float range is a :class:`DomainError`.
     """
-    try:
-        value = K * diameter * 2.0 * (total_mass / 2.0) ** (2.0 + alpha)
-    except OverflowError:  # float ** raises where * gives inf
-        value = np.inf
-    if not np.isfinite(value):
-        raise DomainError(f"the bipolar value evaluates to {value}: it overflows the float range")
-    return value
+    def evaluate():
+        try:
+            return K * diameter * 2.0 * (total_mass / 2.0) ** (2.0 + alpha)
+        except OverflowError:
+            # (M/2)^p = 2^(x + p log2 m), M = m 2^e, m in [1/2, 1), x = p (e - 1) exact
+            m, e = math.frexp(total_mass)
+            num, den = (2.0 + alpha).as_integer_ratio()
+            whole, rest = divmod(num * (e - 1), den)
+            y = rest / den + (2.0 + alpha) * math.log2(m)
+            return math.ldexp(K * diameter * 2.0 * 2.0 ** (y % 1.0), whole + math.floor(y))
+    return _finite(evaluate, "the bipolar value evaluates to {}: it overflows the float range")
 
 
 def _distances(net: Network, dist: DistanceMatrix | None) -> DistanceMatrix:
@@ -101,17 +123,8 @@ def polarization(
     params = params or MeasureParams()
     dist = _distances(net, dist)
     m = net.mass_vector()
-    value = _finite_p_alpha(m, dist.d, params.alpha, params.K)
+    value = _finite(lambda: p_alpha(m, dist.d, params.alpha, params.K), _P_ALPHA_OVERFLOW)
     return MeasureResult(value, params, int(np.count_nonzero(m > 0)))
-
-
-def _finite_p_alpha(m: np.ndarray, d: np.ndarray, alpha: float, K: float) -> float:
-    """:func:`p_alpha` of one mass vector; a sum beyond the float range is a :class:`DomainError`."""
-    with np.errstate(over="ignore", invalid="ignore"):  # reported just below
-        value = float(p_alpha(m, d, alpha, K))
-    if not np.isfinite(value):
-        raise DomainError(f"P_alpha evaluates to {value}: the sum overflows the float range")
-    return value
 
 
 def bipolar_maximum_value(net: Network, params: MeasureParams | None = None,
@@ -146,7 +159,8 @@ def normalized_polarization(
     dist = _distances(net, dist)
     res = polarization(net, params, dist)
     exponent = math.frexp(net.total_mass)[1]
-    scaled = _finite_p_alpha(np.ldexp(net.mass_vector(), -exponent), dist.d, 1.0, params.K)
+    scaled_masses = np.ldexp(net.mass_vector(), -exponent)
+    scaled = _finite(lambda: p_alpha(scaled_masses, dist.d, 1.0, params.K), _P_ALPHA_OVERFLOW)
     denom = bipolar_value(dist.diameter, math.ldexp(net.total_mass, -exponent), 1.0, params.K)
     # degenerate graph with zero diameter: every admissible value is 0
     normalized = scaled / denom if denom > 0 else 0.0

@@ -22,10 +22,10 @@ from netpolar.axioms import (
     MASS_RANGE,
     AxiomReport,
     AxiomScenario,
-    _finite,
+    _OVERFLOW,
 )
 from netpolar.errors import ConvergenceFailureError, DomainError
-from netpolar.measures import check_params
+from netpolar.measures import _finite, check_params
 
 
 def _log_uniform(rng: np.random.Generator, lo: float, hi: float) -> float:
@@ -37,7 +37,7 @@ def _sample_scenario(kind: str, alpha: float, rng: np.random.Generator,
     mlo, mhi = MASS_RANGE
     dlo, dhi = DIST_RANGE
     if kind == "A1":
-        gain = _finite(lambda: 2.0 ** alpha - 1.0, alpha)
+        gain = _finite(lambda: 2.0 ** alpha - 1.0, _OVERFLOW.format(alpha))
         for _ in range(axioms.MAX_A1_DRAWS):
             p = _log_uniform(rng, mlo, mhi)
             q = p * rng.uniform(0.01, 0.99)

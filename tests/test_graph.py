@@ -1,5 +1,6 @@
 """Network validation, geodesic distances and graph edit operations."""
 
+import itertools
 from dataclasses import replace
 
 import numpy as np
@@ -223,6 +224,12 @@ class TestAveragePathLength:
             [("a", "b", 1.0), ("b", "c", 2.0)],
         )
         assert average_path_length(net) == 2.0
+
+    def test_mean_within_the_float_range_of_a_sum_beyond_it(self):
+        ids = ("a", "b", "c")
+        net = validate_network([(i, 1.0) for i in ids],
+                               [(u, v, 1e308) for u, v in itertools.combinations(ids, 2)])
+        assert average_path_length(net) == 1e308
 
     def test_single_node_rejected(self):
         with pytest.raises(DomainError, match="average path length needs at least two nodes"):

@@ -1,12 +1,23 @@
 """The measure family P_alpha: hand values, invariances, oracle agreement."""
 
+import itertools
+import math
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from netpolar.errors import DomainError
-from netpolar.graph import delete_edge, geodesic_distances, scale_masses, validate_network
+from netpolar.extremal import bipolar_distribution, simplex_grid
+from netpolar.graph import (
+    average_path_length,
+    delete_edge,
+    geodesic_distances,
+    scale_masses,
+    validate_network,
+)
 from netpolar.measures import (
     MeasureParams,
     bipolar_maximum_value,
@@ -183,6 +194,33 @@ class TestBipolarReference:
         with pytest.raises(DomainError, match="bipolar value evaluates to inf"):
             bipolar_value(1e300, 1e100, 1.0, 1.0)  # the product overflows, not the power
 
+    def test_a_power_beyond_the_float_range_with_a_value_within_it(self):
+        # (M/2)^3 = 1e360 overflows, K * d * 2 * (M/2)^3 = 2e60 does not
+        net = two_point(1e120, 1e120, 1e-300)
+        assert bipolar_maximum_value(net) == polarization(net).value == 2e60
+        assert bipolar_maximum_value(net, MeasureParams(alpha=1.7)) == pytest.approx(
+            2e144, rel=1e-12)
+
+    @pytest.mark.parametrize("alpha", [0.5, 1.0, 1.7, 3.0, 40.0])
+    def test_where_the_power_overflows_the_value_is_the_closed_form(self, alpha):
+        rng = np.random.default_rng(17)
+        checked = 0
+        for _ in range(200):
+            # (M/2)^(2+alpha) between e^710 and e^1400, beyond the float range
+            total = 2.0 * math.exp(rng.uniform(710.0, 1400.0) / (2.0 + alpha))
+            diameter, K = (10.0 ** rng.uniform((-300, -1), (0, 1))).tolist()
+            with pytest.raises(OverflowError):
+                (total / 2.0) ** (2.0 + alpha)
+            log_value = math.log(K * diameter * 2.0) + (2.0 + alpha) * math.log(total / 2.0)
+            if log_value < 709.0:
+                assert bipolar_value(diameter, total, alpha, K) == pytest.approx(
+                    math.exp(log_value), rel=1e-12)
+                checked += 1
+            elif log_value > 710.0:
+                with pytest.raises(DomainError, match="bipolar value evaluates to inf"):
+                    bipolar_value(diameter, total, alpha, K)
+        assert checked > 50
+
 
 class TestPAlpha:
     def test_batch_matches_direct_evaluation(self):
@@ -207,6 +245,16 @@ class TestPAlpha:
         assert np.ndim(value) == 0
         # 3 * (4 * 2 + 1 * 3 + 1 * 3)
         assert value == pytest.approx(42.0, abs=1e-12)
+
+    def test_a_one_row_batch_gives_each_row_its_bits_in_the_whole_grid(self):
+        rng = np.random.default_rng(12)
+        grid = simplex_grid(5, 12)
+        a = rng.uniform(0.5, 2.0, (5, 5))
+        d = np.triu(a, 1) + np.triu(a, 1).T
+        for alpha in (0.5, 1.0, 1.5):
+            whole = p_alpha(grid, d, alpha, 1.0)
+            rows = np.concatenate([p_alpha(grid[i:i + 1], d, alpha, 1.0) for i in range(len(grid))])
+            assert np.array_equal(rows, whole)
 
 
 class TestNormalized:
@@ -278,3 +326,38 @@ class TestDistReuse:
                                  [("a", "b", 4.0), ("b", "c", 6.0)])
         with pytest.raises(DomainError, match="does not match the network"):
             measure(net, dist=geodesic_distances(other))
+
+
+# log-uniform on [1e-300, 1.7e308], its ends drawn often
+_EXTREME = (st.floats(math.log(1e-300), math.log(1.7e308)).map(lambda x: min(math.exp(x), 1.7e308))
+            | st.sampled_from([1e-300, 1.7e308]))
+
+
+@st.composite
+def extreme_networks(draw):
+    """Connected networks on 2 to 5 nodes whose masses and weights are drawn
+    log-uniformly from [1e-300, 1.7e308]: a path, and any other pair as an edge."""
+    ids = [f"v{i}" for i in range(draw(st.integers(2, 5)))]
+    edges = [(a, b, draw(_EXTREME)) for (i, a), (j, b) in itertools.combinations(enumerate(ids), 2)
+             if j == i + 1 or draw(st.booleans())]
+    return validate_network([(i, draw(_EXTREME)) for i in ids], edges)
+
+
+class TestFloatRange:
+    @given(net=extreme_networks(), alpha=st.sampled_from([0.5, 1.0, 1.7]))
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    def test_results_are_finite_or_a_domain_error(self, net, alpha):
+        params = MeasureParams(alpha=alpha)
+        calls = [lambda: polarization(net, params).value,
+                 lambda: normalized_polarization(net).normalized,
+                 lambda: bipolar_maximum_value(net, params),
+                 lambda: average_path_length(net),
+                 lambda: bipolar_distribution(net).masses]
+        for call in calls:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                try:
+                    values = call()
+                except DomainError:
+                    continue
+            assert np.isfinite(values).all()
