@@ -50,7 +50,6 @@ from .graph import (
     average_path_length,
     delete_edge,
     delete_node,
-    diameter,
     geodesic_distances,
     network_from_dict,
     network_to_dict,

@@ -19,8 +19,8 @@ from dataclasses import asdict, dataclass, replace
 import numpy as np
 
 from .errors import DomainError
-from .graph import DistanceMatrix, Network, _checked_nodes, _network, geodesic_distances
-from .measures import _distances, _finite, bipolar_value, check_params, p_alpha, polarization
+from .graph import Network, _checked_nodes, _network, geodesic_distances
+from .measures import _finite, bipolar_value, check_params, p_alpha, polarization
 
 PAIR_TOLERANCE = 1e-12
 MAX_GRID_NODES = 6
@@ -46,7 +46,7 @@ class ExtremalReport:
         return json.dumps(asdict(self), indent=2, sort_keys=True)
 
 
-def bipolar_distribution(net: Network, dist: DistanceMatrix | None = None) -> Network:
+def bipolar_distribution(net: Network) -> Network:
     """Same graph with total mass split equally across the diameter pair."""
     if net.n < 2:
         raise DomainError("bipolar distribution needs at least two nodes")
@@ -56,7 +56,7 @@ def bipolar_distribution(net: Network, dist: DistanceMatrix | None = None) -> Ne
     # a total beyond the float range may have a half within it
     half = _finite(lambda: total / 2.0 if total < math.inf else sum(m / 2.0 for m in net.masses),
                    "half the total mass evaluates to {}: it overflows the float range")
-    u, v = _distances(net, dist).diameter_pair
+    u, v = geodesic_distances(net).diameter_pair
     return replace(net, masses=tuple(half if i in (u, v) else 0.0 for i in net.ids))
 
 
@@ -226,11 +226,11 @@ def counterexample_search(alpha: float) -> dict | None:
     """Construct a distribution on g_xy = g_xz = b, g_yz = b + eps beating the
     symmetric bipolar one.  Below ALPHA_STAR the thirds win for eps under
     3b(r - 1)/(3 - r), r = 3 (2/3)^(2 + alpha), and eps is half that bound.
-    Above 2, x(1 - x)(x^alpha + (1 - x)^alpha) has a local minimum at 1/2, so
-    the best masses (0, x, 1 - x) of a fixed scan win at any eps; eps = b.
-    ``None`` on [ALPHA_STAR, 2], where no witness exists, and wherever the
-    float value does not exceed the bipolar value or rounding leaves eps <= 0
-    (just below ALPHA_STAR, where the family degenerates to b + eps <= b).
+    Above 2, x(1 - x)(x^alpha + (1 - x)^alpha) has a local minimum at 1/2, so masses
+    (0, x, 1 - x) at the root of its derivative on (0, 1/2) win at any eps; eps = b.
+    ``None`` on [ALPHA_STAR, 2], where no witness exists, and wherever the float value
+    does not exceed the bipolar value or rounding leaves eps <= 0 (just below
+    ALPHA_STAR, where the family degenerates to b + eps <= b).
     """
     check_params(alpha=alpha)
     if alpha == 1.0:
@@ -241,9 +241,15 @@ def counterexample_search(alpha: float) -> dict | None:
         eps = 1.5 * b * (r - 1.0) / (3.0 - r)
         masses = np.full(3, 1.0 / 3.0)
     elif alpha > 2.0:
-        # the best 1/2 - x shrinks as sqrt(3 (alpha - 2) / 16) toward alpha = 2
-        xs = 0.5 - 0.5 * np.geomspace(1e-6, 1.0, 400)[:-1]
-        x = xs[np.argmax(xs * (1.0 - xs) * (xs ** alpha + (1.0 - xs) ** alpha))]
+        from scipy.optimize import brentq  # slow to load; see alpha_bounds
+
+        def slope(x):  # the derivative over (1 - x)^alpha (1 - 2x) > 0, in r = x / (1 - x)
+            r = x / (1.0 - x)
+            # 1 at x = 0 and, as its limit, 2 - alpha (alpha - 1) < 0 at x = 1/2
+            quotient = (1.0 - r ** (alpha - 1.0)) / (1.0 - r) if r < 1.0 else alpha - 1.0
+            return 1.0 + r ** alpha - alpha * r * quotient
+        # the root's 1/2 - x shrinks as sqrt(3 (alpha - 2) / 16) toward alpha = 2
+        x = brentq(slope, 0.0, 0.5, xtol=1e-300, rtol=1e-15)
         eps, masses = b, np.array([0.0, x, 1.0 - x])
     else:
         return None
@@ -263,12 +269,9 @@ def diameter_dominance_check(g1: Network, g2: Network) -> bool:
     """
     if abs(g1.total_mass - g2.total_mass) > 1e-12 * max(g1.total_mass, g2.total_mass, 1.0):
         raise DomainError("networks must carry equal total mass")
-    d1 = geodesic_distances(g1)
-    d2 = geodesic_distances(g2)
-    if d1.diameter == d2.diameter:
+    d1, d2 = geodesic_distances(g1).diameter, geodesic_distances(g2).diameter
+    if d1 == d2:
         return True
-    p1 = polarization(bipolar_distribution(g1, d1), dist=d1).value
-    p2 = polarization(bipolar_distribution(g2, d2), dist=d2).value
-    if d1.diameter > d2.diameter:
-        return p1 > p2
-    return p2 > p1
+    p1 = polarization(bipolar_distribution(g1)).value
+    p2 = polarization(bipolar_distribution(g2)).value
+    return p1 > p2 if d1 > d2 else p2 > p1

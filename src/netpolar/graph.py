@@ -223,12 +223,6 @@ def geodesic_distances(net: Network) -> DistanceMatrix:
     return DistanceMatrix(net.ids, d, float(d[i, j]), (net.ids[i], net.ids[j]), g)
 
 
-def diameter(net: Network) -> tuple[tuple[str, str] | None, float]:
-    """Maximal geodesic distance and its (lexicographically first) pair."""
-    dm = geodesic_distances(net)
-    return dm.diameter_pair, dm.diameter
-
-
 def average_path_length(net: Network) -> float:
     """Mean geodesic distance over ordered node pairs, sum d(i,j) / (n(n-1))."""
     if net.n < 2:

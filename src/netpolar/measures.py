@@ -20,6 +20,7 @@ from .errors import DomainError
 from .graph import DistanceMatrix, Network, geodesic_distances
 
 _P_ALPHA_OVERFLOW = "P_alpha evaluates to {}: the sum overflows the float range"
+_NORMAL = np.finfo(float).tiny  # the smallest normal float
 
 
 @dataclass(frozen=True)
@@ -45,7 +46,6 @@ def check_params(K: float = 1.0, alpha: float = 1.0) -> None:
 class MeasureResult:
     value: float
     params: MeasureParams
-    n_nonzero: int
     normalized: float | None = None
 
     def to_dict(self) -> dict:
@@ -83,19 +83,26 @@ def _finite(evaluate: Callable[[], float], message: str) -> float:
 def bipolar_value(diameter: float, total_mass: float, alpha: float, K: float) -> float:
     """P_alpha of the bipolar split, K * diameter * 2 * (M/2)^(2+alpha), M the total mass.
 
-    Where the power alone overflows, it is split into a factor in [1, 2) and a power
-    of two, applied last.  A value beyond the float range is a :class:`DomainError`.
+    Direct where the prefactor K * diameter * 2 and the power are normal and finite;
+    elsewhere K, the diameter and M are split into factors in [1/2, 1) and powers of two,
+    summed exactly and applied last.  A value beyond the float range is a :class:`DomainError`.
     """
+    K, diameter, total_mass, p = float(K), float(diameter), float(total_mass), 2.0 + float(alpha)
+    if diameter == 0.0 or total_mass == 0.0:
+        return 0.0
     def evaluate():
         try:
-            return K * diameter * 2.0 * (total_mass / 2.0) ** (2.0 + alpha)
-        except OverflowError:
-            # (M/2)^p = 2^(x + p log2 m), M = m 2^e, m in [1/2, 1), x = p (e - 1) exact
-            m, e = math.frexp(total_mass)
-            num, den = (2.0 + alpha).as_integer_ratio()
-            whole, rest = divmod(num * (e - 1), den)
-            y = rest / den + (2.0 + alpha) * math.log2(m)
-            return math.ldexp(K * diameter * 2.0 * 2.0 ** (y % 1.0), whole + math.floor(y))
+            prefactor, power = K * diameter * 2.0, (total_mass / 2.0) ** p
+            if _NORMAL <= prefactor < math.inf and _NORMAL <= power < math.inf:
+                return prefactor * power
+        except OverflowError:  # float ** raises where * gives inf
+            pass
+        # (M/2)^p = 2^(x + p log2 m), M = m 2^e, m in [1/2, 1), x = p (e - 1) exact
+        (k, k_exp), (g, g_exp), (m, e) = map(math.frexp, (K, diameter, total_mass))
+        num, den = p.as_integer_ratio()
+        whole, rest = divmod(num * (e - 1), den)
+        y = rest / den + p * math.log2(m)
+        return math.ldexp(k * g * 2.0 * 2.0 ** (y % 1.0), k_exp + g_exp + whole + math.floor(y))
     return _finite(evaluate, "the bipolar value evaluates to {}: it overflows the float range")
 
 
@@ -115,27 +122,22 @@ def polarization(
 ) -> MeasureResult:
     """Evaluate P_alpha by the exact double sum over ordered node pairs.
 
-    ``dist`` may carry precomputed distances for ``net``; it is recomputed
-    when absent and rejected when it was computed on another graph.  A
-    sum that overflows the float range is a :class:`DomainError`, not a
-    silent ``inf`` or ``nan``.
+    ``dist``, ``net``'s own distances precomputed, is rejected if computed on
+    another graph; only the benchmark's traced replay (``bench/worker.py``)
+    passes it, until ROADMAP.md's tracer removes that replay.  A sum beyond
+    the float range is a :class:`DomainError`, not a silent ``inf`` or ``nan``.
     """
     params = params or MeasureParams()
     dist = _distances(net, dist)
     m = net.mass_vector()
     value = _finite(lambda: p_alpha(m, dist.d, params.alpha, params.K), _P_ALPHA_OVERFLOW)
-    return MeasureResult(value, params, int(np.count_nonzero(m > 0)))
+    return MeasureResult(value, params)
 
 
-def bipolar_maximum_value(net: Network, params: MeasureParams | None = None,
-                          dist: DistanceMatrix | None = None) -> float:
-    """P_alpha of the symmetric bipolar distribution on the same graph.
-
-    See :func:`bipolar_value`; ``dist`` is taken as in :func:`polarization`.
-    """
+def bipolar_maximum_value(net: Network, params: MeasureParams | None = None) -> float:
+    """P_alpha of the symmetric bipolar distribution on the same graph; see :func:`bipolar_value`."""
     params = params or MeasureParams()
-    dist = _distances(net, dist)
-    return bipolar_value(dist.diameter, net.total_mass, params.alpha, params.K)
+    return bipolar_value(geodesic_distances(net).diameter, net.total_mass, params.alpha, params.K)
 
 
 def normalized_polarization(
@@ -146,10 +148,11 @@ def normalized_polarization(
     """P_1 divided by its bipolar maximum; defined for alpha = 1 only.
 
     The ratio lies in [0, 1] and equals 1 exactly when the mass is split
-    half-half across a diameter pair.  Both measures are homothetic of the
-    same degree, so the ratio is taken on the masses scaled by the power of
-    two that puts their total in [1/2, 1), where neither measure under- or
-    overflows as it can at the raw scale.  ``value`` is P_1 at the raw scale.
+    half-half across a diameter pair.  Both measures are homothetic of the same
+    degree, so the ratio is taken on the masses scaled by the power of two that
+    puts their total in [1/2, 1), where neither measure under- or overflows as it
+    can at the raw scale.  ``value`` is P_1 at the raw scale; ``dist`` is as in
+    :func:`polarization`.
     """
     params = params or MeasureParams()
     if params.alpha != 1.0:
@@ -164,7 +167,7 @@ def normalized_polarization(
     denom = bipolar_value(dist.diameter, math.ldexp(net.total_mass, -exponent), 1.0, params.K)
     # degenerate graph with zero diameter: every admissible value is 0
     normalized = scaled / denom if denom > 0 else 0.0
-    return MeasureResult(res.value, params, res.n_nonzero, normalized=normalized)
+    return MeasureResult(res.value, params, normalized=normalized)
 
 
 # -- independent testing oracle ----------------------------------------------

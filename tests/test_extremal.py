@@ -326,7 +326,7 @@ class TestCounterexampleSearch:
     def test_no_witness_inside_the_band(self, alpha):
         assert counterexample_search(alpha) is None
 
-    @pytest.mark.parametrize("alpha", [0.01, 0.25, 0.5, 0.709, 2.0001, 2.5, 5.0])
+    @pytest.mark.parametrize("alpha", [0.01, 0.25, 0.5, 0.709, 2.0001, 2.5, 5.0, 1e6])
     def test_witness_values_recompute(self, alpha):
         witness = counterexample_search(alpha)
         assert 0.0 < witness["eps"] <= witness["base_distance"]
@@ -346,6 +346,14 @@ class TestCounterexampleSearch:
 
     def test_high_exponents_beyond_two_also_yield_witnesses(self):
         assert counterexample_search(2.5) is not None
+
+    def test_above_two_the_split_is_the_maximum_in_closed_form(self):
+        # at alpha = 3, x(1 - x)(x^3 + (1 - x)^3) = p(1 - 3p) with p = x(1 - x) = 1/6
+        witness = counterexample_search(3.0)
+        assert witness["masses"][1] == pytest.approx((3.0 - math.sqrt(3.0)) / 6.0, rel=1e-14)
+        assert witness["value"] == pytest.approx(1.0 / 6.0, rel=1e-15)
+        # above any scan of x: a 399-point one gave 0.2218059, a step-0.005 grid 0.2218065
+        assert counterexample_search(2.2)["value"] >= 0.2218085
 
     def test_rejected_at_the_characterized_exponent(self):
         with pytest.raises(DomainError, match="maximal at alpha = 1"):
@@ -380,6 +388,9 @@ class TestDiameterDominance:
     def test_equal_diameters_are_vacuous(self):
         g = unit_complete(3)
         assert diameter_dominance_check(g, g)
+        # no bipolar distribution exists without mass, and none is asked for
+        empty = unit_complete(3, masses=[0.0, 0.0, 0.0])
+        assert diameter_dominance_check(empty, empty)
 
     def test_unequal_total_mass_rejected(self):
         g1 = unit_complete(3)
@@ -402,10 +413,3 @@ class TestDiameterDominance:
             assert diameter_dominance_check(g1, g2)
             done += 1
 
-
-class TestDistancesMeetTheirNetwork:
-    def test_bipolar_distribution_rejects_another_networks_matrix(self):
-        net = unit_complete(3)
-        other = eps_triangle(0.5)
-        with pytest.raises(DomainError, match="^distance matrix does not match the network$"):
-            bipolar_distribution(net, geodesic_distances(other))

@@ -12,7 +12,6 @@ from netpolar.graph import (
     average_path_length,
     delete_edge,
     delete_node,
-    diameter,
     geodesic_distances,
     network_from_dict,
     network_to_dict,
@@ -122,8 +121,8 @@ class TestGeodesics:
             [(i, 1.0) for i in "abcd"],
             [("a", "b", 1.0), ("b", "c", 1.0), ("c", "d", 1.0), ("d", "a", 1.0)],
         )
-        pair, value = diameter(net)
-        assert value == 2.0 and pair == ("a", "c")
+        dm = geodesic_distances(net)
+        assert dm.diameter == 2.0 and dm.diameter_pair == ("a", "c")
 
         def first_upper_maximum(dm):
             i, j = np.triu_indices(len(dm.ids), k=1)
