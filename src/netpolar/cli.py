@@ -19,6 +19,9 @@ from functools import cache, partial
 from json.encoder import encode_basestring_ascii
 from operator import itemgetter
 from pathlib import Path
+from typing import Callable
+
+import numpy as np
 
 from . import builders
 from .alpha_bounds import admissible_interval
@@ -89,20 +92,33 @@ def _cmd_distances(args) -> int:
     net = parse_network_file(args.network, args.allow_disconnected_longest_path)
     dist = geodesic_distances(net)
     summary = f"diameter={dist.diameter:.12g} pair={dist.diameter_pair}"
-    rows = dist.d.tolist()
     if args.format == "csv":
         # each id as csv.writer writes a field: quoted if it holds a comma, a quote, CR or LF
         ids = ['"' + i.replace('"', '""') + '"' if any(c in i for c in ',"\r\n') else i
                for i in dist.ids]
         lines = ["," + ",".join(ids)]
-        lines += [i + "," + ",".join(map("{:.12g}".format, row)) for i, row in zip(ids, rows)]
+        lines += [i + "," + ",".join(row)
+                  for i, row in zip(ids, _float_texts(dist.d, "{:.12g}".format))]
         return _emit(args, summary, "\n".join(lines) + "\n")
     pair = list(dist.diameter_pair) if dist.diameter_pair else None
     payload = {"config": _config_echo(args), "order": list(dist.ids),
                "diameter": dist.diameter, "diameter_pair": pair}
     # the distances are finite, so each one renders as float.__repr__, as json does
-    d = ["    [\n      " + ",\n      ".join(map(float.__repr__, row)) + "\n    ]" for row in rows]
+    d = ["    [\n      " + ",\n      ".join(row) + "\n    ]"
+         for row in _float_texts(dist.d, float.__repr__)]
     return _emit(args, summary, _json(payload, d=d))
+
+
+def _float_texts(values: np.ndarray, render: Callable[[float], str]) -> list:
+    """``render`` of each entry of the float64 array ``values``, as nested lists of its shape.
+
+    ``render`` runs once per distinct value: a distance matrix holds each value
+    at least twice, and a graph's weights and masses often repeat.  Values are
+    told apart by their bits, so -0.0 and 0.0 keep their own texts.
+    """
+    keys, inverse = np.unique(values.view(np.uint64), return_inverse=True)
+    texts = np.array(list(map(render, keys.view(float).tolist())), dtype=object)
+    return texts[inverse.reshape(values.shape)].tolist()
 
 
 BUILDERS = {  # kind -> (loader, builder)
@@ -128,7 +144,8 @@ def _network_json(net: Network) -> str:
     """``_json(network_to_dict(net))``, with the edges and nodes rendered column by column.
 
     Ids go through the string encoder json uses, and masses and weights are
-    finite after validation, so each renders as float.__repr__, as json does.
+    finite after validation, so each renders as float.__repr__, as json does;
+    each distinct weight and mass is rendered once (:func:`_float_texts`).
     """
     ids = dict(zip(net.ids, map(encode_basestring_ascii, net.ids)))
     # itemgetter, not zip(*net.edges): zip's one iterator per edge would wake the
@@ -137,8 +154,10 @@ def _network_json(net: Network) -> str:
     edge = '    {\n      "u": %s,\n      "v": %s,\n      "w": %s\n    }'
     node = '    {\n      "id": %s,\n      "mass": %s\n    }'
     return _json({}, edges=_records(edge, list(map(ids.get, u)), list(map(ids.get, v)),
-                                    list(map(float.__repr__, w))),
-                 nodes=_records(node, list(ids.values()), list(map(float.__repr__, net.masses))))
+                                    _float_texts(np.fromiter(w, float, len(net.edges)),
+                                                 float.__repr__)),
+                 nodes=_records(node, list(ids.values()),
+                                _float_texts(net.mass_vector(), float.__repr__)))
 
 
 def _records(template: str, *columns: list[str]) -> list[str]:

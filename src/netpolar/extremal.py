@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import DomainError
 from .graph import Network, _checked_nodes, _network, geodesic_distances
-from .measures import _finite, bipolar_value, check_params, p_alpha, polarization
+from .measures import _P_ALPHA_OVERFLOW, _finite, bipolar_value, check_params, p_alpha
 
 PAIR_TOLERANCE = 1e-12
 MAX_GRID_NODES = 6
@@ -48,16 +48,25 @@ class ExtremalReport:
 
 def bipolar_distribution(net: Network) -> Network:
     """Same graph with total mass split equally across the diameter pair."""
+    half = _half_mass(net)
+    return replace(net, masses=_split(net, half, geodesic_distances(net).diameter_pair))
+
+
+def _half_mass(net: Network) -> float:
+    """Half the total mass of ``net``, the mass on each end of its bipolar split."""
     if net.n < 2:
         raise DomainError("bipolar distribution needs at least two nodes")
     total = net.total_mass
     if total <= 0:
         raise DomainError("bipolar distribution needs positive total mass")
     # a total beyond the float range may have a half within it
-    half = _finite(lambda: total / 2.0 if total < math.inf else sum(m / 2.0 for m in net.masses),
+    return _finite(lambda: total / 2.0 if total < math.inf else sum(m / 2.0 for m in net.masses),
                    "half the total mass evaluates to {}: it overflows the float range")
-    u, v = geodesic_distances(net).diameter_pair
-    return replace(net, masses=tuple(half if i in (u, v) else 0.0 for i in net.ids))
+
+
+def _split(net: Network, half: float, pair: tuple[str, str]) -> tuple[float, ...]:
+    """``half`` on each node of ``pair`` and 0 elsewhere, in ``net``'s node order."""
+    return tuple(half if i in pair else 0.0 for i in net.ids)
 
 
 def merge_reduction(net: Network) -> Network:
@@ -269,9 +278,14 @@ def diameter_dominance_check(g1: Network, g2: Network) -> bool:
     """
     if abs(g1.total_mass - g2.total_mass) > 1e-12 * max(g1.total_mass, g2.total_mass, 1.0):
         raise DomainError("networks must carry equal total mass")
-    d1, d2 = geodesic_distances(g1).diameter, geodesic_distances(g2).diameter
+    # one APSP per graph gives its diameter, its pair and P_1 of its bipolar split
+    dist1, dist2 = geodesic_distances(g1), geodesic_distances(g2)
+    d1, d2 = dist1.diameter, dist2.diameter
     if d1 == d2:
         return True
-    p1 = polarization(bipolar_distribution(g1)).value
-    p2 = polarization(bipolar_distribution(g2)).value
+
+    def bipolar_p1(net, dist):  # polarization(bipolar_distribution(net)).value
+        masses = np.array(_split(net, _half_mass(net), dist.diameter_pair))
+        return _finite(lambda: p_alpha(masses, dist.d, 1.0, 1.0), _P_ALPHA_OVERFLOW)
+    p1, p2 = bipolar_p1(g1, dist1), bipolar_p1(g2, dist2)
     return p1 > p2 if d1 > d2 else p2 > p1

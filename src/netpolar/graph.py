@@ -6,7 +6,8 @@ weaker connection); weight 0 is a legal edge meaning distance 0 and is
 distinct from the absence of an edge.  Distances and connectivity come from
 ``scipy.sparse.csgraph``, which picks Floyd-Warshall or Dijkstra by density,
 on a sparse matrix built from coordinate triples: that keeps weight-0 edges,
-which csgraph drops from a dense matrix.
+which csgraph drops from a dense matrix.  scipy.sparse is loaded on first
+use, when the first network is made.
 
 One constructor, ``_network``, turns edges given as index columns into a
 network: the builders pass their index arrays, the other callers look each
@@ -22,13 +23,16 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from itertools import repeat
 from operator import itemgetter
-from typing import Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import connected_components, shortest_path
 
 from .errors import DisconnectedError, DomainError, ValidationError
+
+# scipy.sparse is imported where a graph is made or searched: it is slow to
+# load, and the commands that build no network never need it
+if TYPE_CHECKING:
+    from scipy.sparse import csr_matrix
 
 Edge = tuple[str, str, float]
 
@@ -179,6 +183,7 @@ def _network(ids: tuple[str, ...], masses: tuple[float, ...], iu: np.ndarray, iv
         if weight[k]:
             raise ValidationError(f"edge ({u!r}, {v!r}) has invalid weight {ws[k]}")
         raise ValidationError(f"duplicate edge ({u!r}, {v!r})")
+    from scipy.sparse.csgraph import connected_components
     g = _symmetric_csr(iu, iv, w, n)
     if not allow_disconnected and connected_components(g, directed=False, return_labels=False) > 1:
         raise DisconnectedError(message)
@@ -187,6 +192,7 @@ def _network(ids: tuple[str, ...], masses: tuple[float, ...], iu: np.ndarray, iv
 
 def _symmetric_csr(u: np.ndarray, v: np.ndarray, w: np.ndarray, n: int) -> csr_matrix:
     """Edge weights in both directions; validation rules out duplicate edges."""
+    from scipy.sparse import csr_matrix
     ends = (np.concatenate((u, v)), np.concatenate((v, u)))
     return csr_matrix((np.concatenate((w, w)), ends), shape=(n, n))
 
@@ -200,8 +206,11 @@ def geodesic_distances(net: Network) -> DistanceMatrix:
     geodesic distance in the whole graph.  A path sum beyond the float
     range is a :class:`DomainError`, never a disconnection.
     """
+    from scipy.sparse.csgraph import connected_components, shortest_path
     g = net._csgraph
-    d = shortest_path(g, directed=False)
+    # g holds each edge in both directions, so the directed search gives the
+    # undirected distances without scipy's second scan of the transpose
+    d = shortest_path(g, directed=True)
     # Dijkstra may sum one path in a different order from each end
     np.minimum(d, d.T, out=d)
     unreached = np.isinf(d)

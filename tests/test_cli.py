@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 
 import netpolar
 from netpolar.axioms import run_suite
-from netpolar.cli import _json, _network_json, _parser, build_parser, main, parse_network_file
+from netpolar.cli import _float_texts, _json, _network_json, _parser, build_parser, main, parse_network_file
 from netpolar.extremal import verify_bipolar_max
 from netpolar.graph import geodesic_distances, network_to_dict, validate_network
 
@@ -218,6 +218,29 @@ class TestBuildWriter:
     def test_same_text_as_json_dumps(self, net):
         want = json.dumps(network_to_dict(net), indent=2, sort_keys=True) + "\n"
         assert _network_json(net) == want
+
+
+# signed zeros, subnormals, the float range's ends and a few values to repeat
+_SPECIAL = [-0.0, 0.0, 5e-324, -5e-324, 2.225073858507201e-308, 1.7976931348623157e308,
+            -1.7976931348623157e308, 0.1, 1 / 3]
+
+
+class TestFloatTexts:
+    @settings(max_examples=300, deadline=None)
+    @given(values=st.lists(st.sampled_from(_SPECIAL) | st.floats(), max_size=40),
+           width=st.integers(1, 4))
+    @example(values=[], width=1)
+    @example(values=[-0.0], width=1)
+    @example(values=_SPECIAL * 2, width=2)
+    def test_each_entry_renders_as_on_its_own(self, values, width):
+        # a matrix when the values fill whole rows, else a vector
+        array = np.array(values, dtype=float)
+        if len(values) % width == 0:
+            array = array.reshape(-1, width)
+        for render in (float.__repr__, "{:.12g}".format):
+            want = [[render(x) for x in row] if array.ndim == 2 else render(row)
+                    for row in array.tolist()]
+            assert _float_texts(array, render) == want
 
 
 class TestParserReuse:
@@ -830,12 +853,14 @@ class TestCheckedWhereDefined:
         assert [iv["c"] for iv in report["intervals"]] == c_list
 
     def test_importing_the_cli_leaves_scipy_optimize_unloaded(self):
-        # only the exponent bounds' root searches import it, when they run
+        # only the exponent bounds' root searches import scipy.optimize, and only
+        # the code that makes or searches a graph imports scipy.sparse, when they run
         env = {**os.environ, "PYTHONPATH": str(Path(netpolar.__file__).resolve().parents[1])}
         proc = subprocess.run(
             [sys.executable, "-c", "import sys, netpolar.cli; "
-                                   "print('scipy.optimize' in sys.modules)"],
+                                   "print('scipy.optimize' in sys.modules, "
+                                   "'scipy.sparse' in sys.modules)"],
             capture_output=True, text=True, timeout=60, env=env,
         )
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout == "False\n"
+        assert proc.stdout == "False False\n"

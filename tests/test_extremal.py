@@ -385,6 +385,23 @@ class TestDiameterDominance:
         assert diameter_dominance_check(long, short)
         assert diameter_dominance_check(short, long)
 
+    def test_one_shortest_path_search_per_graph(self, monkeypatch):
+        import netpolar.extremal
+        import netpolar.measures
+
+        searched = []
+
+        def counted(net):
+            searched.append(net)
+            return geodesic_distances(net)
+
+        for module in (netpolar.extremal, netpolar.measures):
+            monkeypatch.setattr(module, "geodesic_distances", counted)
+        long = validate_network([("a", 1.0), ("b", 1.0)], [("a", "b", 3.0)])
+        short = unit_complete(3, masses=[1.0, 0.5, 0.5])
+        assert diameter_dominance_check(long, short)
+        assert len(searched) == 2 and searched[0] is long and searched[1] is short
+
     def test_equal_diameters_are_vacuous(self):
         g = unit_complete(3)
         assert diameter_dominance_check(g, g)

@@ -5,15 +5,19 @@ so that the configuration echoed in the report is fixed too.  The digests
 were recorded before the column-wise validator and the hand-written
 distance matrix writer went in, and the ``build`` runs with escaped ids, a
 one-point line and 3-D lattices before the array-built builders and the
-hand-written ``build`` writer went in, and the ``extremal`` runs before the
-grid was streamed in blocks, so a change to ingest, a builder, the grid or a
-writer that alters a single byte fails here.
+hand-written ``build`` writer went in, the ``extremal`` runs before the
+grid was streamed in blocks, and the ``distances`` runs on ``dense.json``
+and ``precise.json`` before the writers formatted each distinct number
+once, so a change to ingest, a builder, the grid or a writer that alters a
+single byte fails here.
 """
 
 import contextlib
 import hashlib
 import io
+import itertools
 import json
+import math
 
 from netpolar.cli import main
 
@@ -50,6 +54,20 @@ INPUTS = {
     }),
     "space.csv": "0.1,0.2,0.3,1\n1.7,-2.3,0.05,2\n3.14159,2.71828,-1.41421,0.5\n"
                  "-0.333,0.667,9.99,1\n1e-3,7.25,-0.6,0\n",
+    # complete, so csgraph takes Floyd-Warshall, which keeps the -0.0 weight as a -0 distance
+    "dense.json": json.dumps({
+        "nodes": [{"id": i, "mass": 1} for i in "abcde"],
+        "edges": [{"u": u, "v": v, "w": w} for (u, v), w in zip(
+            itertools.combinations("abcde", 2), [1.5, -0.0, 2, 0.25, 3, 1, 0.5, 4, 2.25, 1.75])],
+    }),
+    # a ring with two chords and weights of 16 and 17 significant digits
+    "precise.json": json.dumps({
+        "nodes": [{"id": i, "mass": 1} for i in "pqrstuv"],
+        "edges": [{"u": u, "v": v, "w": w} for u, v, w in zip(
+            "pqrstuvpr", "qrstuvpsu",
+            [0.1 + 0.2, 2 / 3, math.sqrt(2) / 7, math.e / 3, math.pi / 9, 1e-5 / 3, 0.7 / 11,
+             1 / 7, math.log(2)])],
+    }),
 }
 RUNS = {
     "distances-json": ["distances", "--network", "net.json"],
@@ -72,6 +90,10 @@ RUNS = {
     "build-lattice-3d-euclidean": ["build", "lattice", "--input", "space.csv", "--norm", "euclidean"],
     "build-lattice-3d-manhattan": ["build", "lattice", "--input", "space.csv"],
     "build-lattice-3d-chebyshev": ["build", "lattice", "--input", "space.csv", "--norm", "chebyshev"],
+    "distances-dense-json": ["distances", "--network", "dense.json"],
+    "distances-dense-csv": ["distances", "--network", "dense.json", "--format", "csv"],
+    "distances-precise-json": ["distances", "--network", "precise.json"],
+    "distances-precise-csv": ["distances", "--network", "precise.json", "--format", "csv"],
     "extremal-zero-weight": ["extremal", "--network", "net.json", "--step", "0.03333333333333333"],
     "extremal-witness": ["extremal", "--network", "triangle.json", "--alpha", "0.5",
                          "--step", "0.015625"],
@@ -97,6 +119,10 @@ GOLDEN = {
     "build-lattice-3d-euclidean": "54ea66ba4751bacddc7dd6faa5797269be210c934cdd267ac65ad9b10fcd23a5",
     "build-lattice-3d-manhattan": "63b35d8ba78d38cbfc97f42f52263dfd5aebf246572eb118f0ea78d269ee6b59",
     "build-lattice-3d-chebyshev": "5d1dc7e27c32c6734ae34f3fb6ee70f0bbe6d87f5f2bae42e7b9356d7e4539a3",
+    "distances-dense-json": "7d973124a8ce82180ef42ec46281a06151c891118d44900533b60c4a124eb1aa",
+    "distances-dense-csv": "646af343d620b12d442411fad120954b254b49362c05c59951f44dd979a75d75",
+    "distances-precise-json": "e23ba17a47de6ad898b5695bc4be13a6f7fbd789103542049623afdf88de4315",
+    "distances-precise-csv": "39d075e0d09c12bcd414f49275d928dbdc9675ca65a0441398bb6ebd6fa3a330",
     "extremal-zero-weight": "9a0a1f83c114ec125baf0c70eb207a6d7f2d41aace2ca0f13b653103dfee9124",
     "extremal-witness": "14c96f96834f017dcee8bbb6f6028f5643d184e6f3a7b8aabf1b167adfb69226",
 }

@@ -175,6 +175,51 @@ class TestGeodesics:
                 else:
                     assert np.abs(d - oracle).max() <= 1e-12
 
+    def test_directed_search_gives_the_undirected_bits(self, monkeypatch):
+        # the stored graph holds both directions, so the directed search must
+        # give bit for bit what scipy's undirected search, which also scans
+        # the transpose, gives, on either engine and under either convention
+        import scipy.sparse.csgraph as csgraph
+        rng = np.random.default_rng(41)
+        nets = []
+        for k in range(80):
+            n = int(rng.integers(2, 50))
+            ids = [str(i) for i in range(n)]
+            pairs = list(itertools.combinations(ids, 2))
+            # every fourth graph may fall apart and is read under the longest-path convention
+            connected = k % 4 > 0
+            density = rng.choice([0.03, 0.1, 0.3, 1.0])
+            chosen = {pair for pair in pairs if rng.random() < density}
+            if connected:
+                chosen.update(zip(ids, ids[1:]))
+            weights = rng.uniform(0.0, 3.0, len(pairs))
+            weights[rng.random(len(pairs)) < 0.1] = 0.0
+            weights[rng.random(len(pairs)) < 0.1] = -0.0
+            edges = [(u, v, float(w)) for (u, v), w in zip(pairs, weights) if (u, v) in chosen]
+            nets.append(validate_network([(i, 1.0) for i in ids], edges,
+                                         allow_disconnected=not connected))
+        directed = [geodesic_distances(net) for net in nets]
+        search = csgraph.shortest_path
+        calls = []
+
+        def undirected(g, directed):
+            calls.append(directed)
+            return search(g, directed=False)
+
+        monkeypatch.setattr(csgraph, "shortest_path", undirected)
+        for net, dm in zip(nets, directed):
+            reference = geodesic_distances(net)
+            assert (dm.d.view(np.uint64) == reference.d.view(np.uint64)).all()
+            assert (dm.diameter, dm.diameter_pair) == (reference.diameter,
+                                                      reference.diameter_pair)
+        assert calls == [True] * len(nets)
+        # both engines ran: Floyd-Warshall at a quarter density and above, Dijkstra below
+        dense = [2 * len(net.edges) >= net.n ** 2 / 4 for net in nets]
+        assert any(dense) and not all(dense)
+        assert any(net.longest_path_convention and np.isinf(search(net._csgraph)).any()
+                   for net in nets)
+        assert any(np.signbit(dm.d).any() for dm in directed)
+
     def test_distance_matrix_is_read_only(self):
         dm = geodesic_distances(line(1.0, 1.0))
         with pytest.raises(ValueError):
