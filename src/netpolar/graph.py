@@ -3,11 +3,17 @@
 A network couples a connected weighted graph with a non-negative mass on
 every node.  Edge weights are direct distances (a larger weight means a
 weaker connection); weight 0 is a legal edge meaning distance 0 and is
-distinct from the absence of an edge.  Distances and connectivity come from
-``scipy.sparse.csgraph``, which picks Floyd-Warshall or Dijkstra by density,
-on a sparse matrix built from coordinate triples: that keeps weight-0 edges,
-which csgraph drops from a dense matrix.  scipy.sparse is loaded on first
-use, when the first network is made.
+distinct from the absence of an edge.  The graph is a sparse matrix built
+from coordinate triples: that keeps weight-0 edges, which csgraph drops from
+a dense matrix.  Connectivity comes from ``scipy.sparse.csgraph``, and the
+graph's weights choose the distance engine.  If every edge weighs the same
+``w > 0`` and every ``k * w`` with ``k <= 2n`` is exact, one bitset BFS from
+every source at once counts the hops and the distances are the hops times
+``w``: the bits that Dijkstra and Floyd-Warshall give too.  Every other
+graph, and one with a pair more than ``BFS_MAX_LEVELS`` hops apart, goes to
+csgraph's ``shortest_path``, which picks Floyd-Warshall or Dijkstra by
+density.  scipy.sparse is loaded on first use, when the first network is
+made.
 
 One constructor, ``_network``, turns edges given as index columns into a
 network: the builders pass their index arrays, the other callers look each
@@ -21,6 +27,7 @@ the masses alone keeps it.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import partial
 from itertools import repeat
 from operator import itemgetter
 from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
@@ -35,6 +42,15 @@ if TYPE_CHECKING:
     from scipy.sparse import csr_matrix
 
 Edge = tuple[str, str, float]
+
+# the BFS of an equal-weight graph gathers its neighbours' bitsets, and
+# unpacks its hop counts, in blocks of about BFS_GATHER_BYTES (a gather block
+# holds one node at least).  It hands a graph whose pairs lie more than
+# BFS_MAX_LEVELS hops apart over to scipy: each level costs O(n^2 / 64)
+# words, so long paths are scipy's.  The hop counts are uint8, so the cap is
+# at most 255.
+BFS_GATHER_BYTES = 1 << 22
+BFS_MAX_LEVELS = 64
 
 
 @dataclass(frozen=True)
@@ -66,8 +82,13 @@ class Network:
         return np.asarray(self.masses, dtype=float)
 
     def has_edge(self, u: str, v: str) -> bool:
-        pair = frozenset((u, v))
-        return any(frozenset((a, b)) == pair for a, b, _ in self.edges)
+        """Whether ``u`` and ``v`` are joined, by an edge of any weight, 0 included."""
+        try:
+            i, j = self.ids.index(u), self.ids.index(v)
+        except ValueError:  # an unknown node
+            return False
+        g = self._csgraph  # keeps explicit zeros
+        return j in g.indices[g.indptr[i]:g.indptr[i + 1]]
 
 
 @dataclass(frozen=True)
@@ -200,6 +221,10 @@ def _symmetric_csr(u: np.ndarray, v: np.ndarray, w: np.ndarray, n: int) -> csr_m
 def geodesic_distances(net: Network) -> DistanceMatrix:
     """All-pairs shortest-path distances, diameter and one attaining pair.
 
+    A graph of one edge weight ``w > 0``, whose multiples ``k * w`` with
+    ``k <= 2n`` are exact, is searched by ``_hop_distances``; any other, or
+    one with a pair more than ``BFS_MAX_LEVELS`` hops apart, by scipy's
+    ``shortest_path``.  Both give the same bits where the first applies.
     The diameter pair is the first maximizing pair in node order, which
     makes the tie-break deterministic.  Under the longest-path convention,
     distances between components are replaced by the largest finite
@@ -208,11 +233,13 @@ def geodesic_distances(net: Network) -> DistanceMatrix:
     """
     from scipy.sparse.csgraph import connected_components, shortest_path
     g = net._csgraph
-    # g holds each edge in both directions, so the directed search gives the
-    # undirected distances without scipy's second scan of the transpose
-    d = shortest_path(g, directed=True)
-    # Dijkstra may sum one path in a different order from each end
-    np.minimum(d, d.T, out=d)
+    d = _hop_distances(g)
+    if d is None:
+        # g holds each edge in both directions, so the directed search gives the
+        # undirected distances without scipy's second scan of the transpose
+        d = shortest_path(g, directed=True)
+        # Dijkstra may sum one path in a different order from each end
+        np.minimum(d, d.T, out=d)
     unreached = np.isinf(d)
     if unreached.any():
         _, labels = connected_components(g, directed=False)
@@ -221,15 +248,101 @@ def geodesic_distances(net: Network) -> DistanceMatrix:
         if not net.longest_path_convention:
             raise DisconnectedError("graph is not connected")
         d[unreached] = d[~unreached].max()
+    # d is symmetric with a zero diagonal, so the first maximum in row-major
+    # order is the first i < j pair, unless every distance is 0; argmax is
+    # taken while d is writeable, as numpy copies a read-only array for it
+    i, j = divmod(int(np.argmax(d)), net.n)
     d.flags.writeable = False
     if net.n < 2:
         return DistanceMatrix(net.ids, d, 0.0, None, g)
-    # d is symmetric with a zero diagonal, so the first maximum in row-major
-    # order is the first i < j pair, unless every distance is 0
-    i, j = divmod(int(np.argmax(d)), net.n)
     if i == j:
         i, j = 0, 1
     return DistanceMatrix(net.ids, d, float(d[i, j]), (net.ids[i], net.ids[j]), g)
+
+
+def _exact_weight(g: csr_matrix) -> float | None:
+    """The weight ``w > 0`` of every edge of ``g``, if each ``k * w`` with ``k <= 2n`` is exact.
+
+    Then Dijkstra's and Floyd-Warshall's sums of path weights are all such
+    multiples, so they and the hop count times ``w`` give the same bits.
+    """
+    if not g.nnz:
+        return None
+    w = float(g.data[0])
+    if not w > 0 or not (g.data == w).all():
+        return None
+    top = w.as_integer_ratio()[0]
+    return w if top // (top & -top) * 2 * g.shape[0] < 1 << 53 else None
+
+
+def _hop_distances(g: csr_matrix) -> np.ndarray | None:
+    """Distances on a graph of one exact weight, by a BFS from every source at once.
+
+    Bit ``s`` of ``reached[v]`` says that source ``s`` has reached ``v``; each
+    level ORs into it the bitsets of ``v``'s neighbours, and the level that
+    first sets a bit is written bit by bit into ``planes``.  Unreached pairs
+    are ``inf``.  ``None`` unless ``_exact_weight`` accepts ``g`` and no
+    pair lies more than ``BFS_MAX_LEVELS`` hops apart.
+    """
+    w = _exact_weight(g)
+    if w is None:
+        return None
+    found = _bfs(g)
+    if found is None:
+        return None
+    reached, planes = found
+    n = g.shape[0]
+    d = np.empty((n, n))
+    unpack = partial(np.unpackbits, axis=1, count=n, bitorder="little")
+    # every node reaches itself, so the rows are equal only if they are full
+    spread = (reached != reached[0]).any()
+    step = max(1, BFS_GATHER_BYTES // n)
+    for r0 in range(0, n, step):
+        rows = slice(r0, r0 + step)
+        hops = unpack(planes[0][rows].view(np.uint8))
+        for b, plane in enumerate(planes[1:], 1):
+            hops |= unpack(plane[rows].view(np.uint8)) << b
+        with np.errstate(over="ignore"):  # beyond the float range is inf, as for scipy
+            np.multiply(hops, w, out=d[rows])
+        if spread:
+            np.copyto(d[rows], np.inf, where=unpack(reached[rows].view(np.uint8)) == 0)
+    return d
+
+
+def _bfs(g: csr_matrix) -> tuple[np.ndarray, list[np.ndarray]] | None:
+    """The BFS's final ``reached`` and the bit planes of each pair's hop count."""
+    n = g.shape[0]
+    words = -(-n // 64)
+    nodes = np.arange(n + 1)
+    reached = np.zeros((n, words), dtype=np.uint64)
+    reached[nodes[:n], nodes[:n] // 64] = np.uint64(1) << (nodes[:n] % 64).astype(np.uint64)
+    # node blocks whose gathered rows, each node's own and then its
+    # neighbours', fit the byte budget
+    own = g.indptr + nodes
+    blocks = []
+    r0 = 0
+    while r0 < n:
+        top = own[r0] + max(1, BFS_GATHER_BYTES // (8 * words))
+        r1 = min(n, max(r0 + 1, int(np.searchsorted(own, top, side="right")) - 1))
+        lo, hi = g.indptr[r0], g.indptr[r1]
+        idx = np.insert(g.indices[lo:hi], g.indptr[r0:r1] - lo, nodes[r0:r1])
+        blocks.append((slice(r0, r1), idx, own[r0:r1] - own[r0]))
+        r0 = r1
+    nxt, new = np.empty_like(reached), np.empty_like(reached)
+    planes = []
+    for level in range(1, BFS_MAX_LEVELS + 2):
+        for rows, idx, starts in blocks:
+            np.bitwise_or.reduceat(reached[idx], starts, axis=0, out=nxt[rows])
+        np.bitwise_xor(nxt, reached, out=new)
+        if not new.any():
+            return reached, planes
+        if level.bit_length() > len(planes):
+            planes.append(np.zeros_like(reached))
+        for b, plane in enumerate(planes):
+            if level >> b & 1:
+                plane |= new
+        reached, nxt = nxt, reached
+    return None  # a pair lies more than BFS_MAX_LEVELS hops apart
 
 
 def average_path_length(net: Network) -> float:

@@ -1,11 +1,21 @@
 """Network validation, geodesic distances and graph edit operations."""
 
 import itertools
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+import netpolar.graph as graph
+from netpolar.builders import (
+    PreferenceProfile,
+    VoteMatrix,
+    build_complete_uniform,
+    build_cosponsorship,
+    build_preference_kemeny,
+    build_vote_hypercube,
+)
 from netpolar.errors import DisconnectedError, DomainError, ValidationError
 from netpolar.extremal import bipolar_distribution
 from netpolar.graph import (
@@ -74,6 +84,14 @@ class TestValidation:
     def test_zero_weight_edge_is_legal(self):
         net = validate_network([("a", 1.0), ("b", 1.0)], [("a", "b", 0.0)])
         assert geodesic_distances(net).d[0, 1] == 0.0
+
+    def test_has_edge_reads_the_graph(self):
+        net = validate_network([(i, 1.0) for i in "abcd"],
+                               [("a", "b", 0.0), ("b", "c", -0.0), ("c", "d", 2.0)])
+        assert all(net.has_edge(u, v) and net.has_edge(v, u) for u, v, _ in net.edges)
+        assert not net.has_edge("a", "c") and not net.has_edge("a", "a")
+        assert not net.has_edge("a", "z") and not net.has_edge("z", "a")
+        assert not net.has_edge("z", "z")
 
 
 class TestGeodesics:
@@ -228,6 +246,148 @@ class TestGeodesics:
     def test_distance_accessor(self):
         dm = geodesic_distances(line(1.0, 1.0, 1.0, gap=2.0))
         assert distance(dm, "n0", "n2") == 4.0
+
+
+def unit_graph(n, pairs, w=1.0, allow_disconnected=False):
+    ids = [str(i) for i in range(n)]
+    return validate_network([(i, 1.0) for i in ids],
+                            [(ids[a], ids[b], w) for a, b in pairs], allow_disconnected)
+
+
+def random_tree_pairs(rng, n, extra):
+    """A random recursive tree, shallow enough for the BFS, and about ``extra`` more edges."""
+    pairs = {(int(rng.integers(0, v)), v) for v in range(1, n)}
+    pairs |= {(a, b) for a, b in itertools.combinations(range(n), 2) if rng.random() < extra}
+    return sorted(pairs)
+
+
+class TestHopEngine:
+    """Graphs of one exact weight take the all-source BFS, with scipy's bits."""
+
+    @pytest.fixture
+    def searches(self, monkeypatch):
+        import scipy.sparse.csgraph as csgraph
+        calls, search = [], csgraph.shortest_path
+
+        def counted(g, **kwargs):
+            calls.append(g)
+            return search(g, **kwargs)
+
+        monkeypatch.setattr(csgraph, "shortest_path", counted)
+        return calls
+
+    @staticmethod
+    def scipy_geodesics(net, monkeypatch):
+        with monkeypatch.context() as m:
+            m.setattr(graph, "_hop_distances", lambda g: None)
+            return geodesic_distances(net)
+
+    def assert_scipy_bits(self, net, searches, monkeypatch, bfs=True):
+        before = len(searches)
+        dm = geodesic_distances(net)
+        assert len(searches) - before == (0 if bfs else 1)
+        ref = self.scipy_geodesics(net, monkeypatch)
+        assert (dm.d.view(np.uint64) == ref.d.view(np.uint64)).all()
+        assert (dm.diameter, dm.diameter_pair) == (ref.diameter, ref.diameter_pair)
+        import scipy.sparse.csgraph as csgraph
+        raw = csgraph.shortest_path(net._csgraph, directed=True)
+        if np.isfinite(raw).all():
+            assert (dm.d.view(np.uint64) == raw.view(np.uint64)).all()
+        return dm
+
+    def test_builder_graphs(self, searches, monkeypatch):
+        rng = np.random.default_rng(3)
+        nets = []
+        for k in range(1, 11):
+            rows = rng.integers(0, 2, (20, k))
+            nets.append(build_vote_hypercube(VoteMatrix(tuple(f"v{i}" for i in range(20)),
+                                                        tuple(map(tuple, rows.tolist())))))
+        for m in range(2, 7):
+            alts = tuple("abcdef"[:m])
+            nets.append(build_preference_kemeny(PreferenceProfile(alts, ((alts, 2.0),))))
+        rows = (rng.random((60, 12)) < 0.15).astype(int)
+        rows[:, 0] = 1  # one bill sponsored by all keeps the graph connected
+        nets.append(build_cosponsorship(VoteMatrix(tuple(f"s{i}" for i in range(60)),
+                                                   tuple(map(tuple, rows.tolist())))))
+        nets += [build_complete_uniform([1.0] * n) for n in (2, 3, 50)]
+        for net in nets:
+            self.assert_scipy_bits(net, searches, monkeypatch)
+        assert geodesic_distances(nets[9]).diameter == 10.0
+        assert geodesic_distances(nets[14]).diameter == 15.0
+
+    @pytest.mark.parametrize("n", [2, 63, 64, 65, 129])
+    @pytest.mark.parametrize("w", [1.0, 0.5, 3.0, 2.0 ** -30])
+    def test_random_equal_weight_graphs(self, n, w, searches, monkeypatch):
+        rng = np.random.default_rng(n)
+        for extra in (1.0 / n, 0.5):  # sparse, dense
+            net = unit_graph(n, random_tree_pairs(rng, n, extra), w)
+            self.assert_scipy_bits(net, searches, monkeypatch)
+
+    def test_disconnected_graph_under_longest_path(self, searches, monkeypatch):
+        # a 4-path, a triangle and an isolated node
+        net = unit_graph(8, [(0, 1), (1, 2), (2, 3), (4, 5), (5, 6), (4, 6)], 0.5,
+                         allow_disconnected=True)
+        dm = self.assert_scipy_bits(net, searches, monkeypatch)
+        assert dm.d[0, 7] == dm.d[4, 0] == dm.diameter == 1.5
+        searches.clear()
+        with pytest.raises(DisconnectedError):
+            geodesic_distances(replace(net, longest_path_convention=False))
+        assert not searches
+
+    def test_overflowing_chain_is_a_domain_error(self, searches):
+        for allow in (False, True):
+            net = unit_graph(4 if allow else 3, [(0, 1), (1, 2)], 2.0 ** 1023, allow)
+            with pytest.raises(DomainError, match="overflows the float range"):
+                geodesic_distances(net)
+        assert not searches
+
+    @pytest.mark.parametrize("weights", [[0.1] * 3, [0.0] * 3, [-0.0] * 3, [0.0, -0.0, 0.0],
+                                         [1.0, 2.0, 1.0], [1.0 + 2.0 ** -52] * 3])
+    def test_other_weights_go_to_scipy(self, weights, searches, monkeypatch):
+        ids = "abcd"
+        net = validate_network([(i, 1.0) for i in ids],
+                               [(a, b, w) for a, b, w in zip(ids, ids[1:], weights)])
+        self.assert_scipy_bits(net, searches, monkeypatch, bfs=False)
+
+    def test_inexact_multiples_go_to_scipy(self, searches, monkeypatch):
+        # an odd significand of 2^51 - 1 times 2n is below 2^53 for n = 2 only
+        w = float((1 << 51) - 1)
+        self.assert_scipy_bits(unit_graph(2, [(0, 1)], w), searches, monkeypatch)
+        self.assert_scipy_bits(unit_graph(3, [(0, 1), (1, 2)], w), searches, monkeypatch,
+                               bfs=False)
+
+    def test_paths_past_the_level_cap_go_to_scipy(self, searches, monkeypatch):
+        cap = graph.BFS_MAX_LEVELS
+        at_cap = unit_graph(cap + 1, [(i, i + 1) for i in range(cap)])
+        assert self.assert_scipy_bits(at_cap, searches, monkeypatch).diameter == cap
+        for n in (cap + 2, 300):
+            long = unit_graph(n, [(i, i + 1) for i in range(n - 1)])
+            assert self.assert_scipy_bits(long, searches, monkeypatch, bfs=False).diameter == n - 1
+
+    def test_small_gather_budget_gives_the_same_bits(self, searches, monkeypatch):
+        # one node per gather block, and one row per block of the hop counts
+        rng = np.random.default_rng(5)
+        nets = [unit_graph(n, random_tree_pairs(rng, n, extra), 2.0)
+                for n in (70, 130) for extra in (0.02, 0.6)]
+        nets.append(unit_graph(70, [(0, 1), (5, 6), (6, 69)], allow_disconnected=True))
+        want = [geodesic_distances(net) for net in nets]
+        monkeypatch.setattr(graph, "BFS_GATHER_BYTES", 8)
+        for net, dm in zip(nets, want):
+            got = geodesic_distances(net)
+            assert (got.d.view(np.uint64) == dm.d.view(np.uint64)).all()
+            assert (got.diameter, got.diameter_pair) == (dm.diameter, dm.diameter_pair)
+        assert not searches
+
+    def test_peak_memory_on_a_complete_graph(self, searches):
+        net = build_complete_uniform([1.0] * 1000)
+        tracemalloc.start()
+        try:
+            geodesic_distances(net)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert not searches
+        assert peak < 8 * 1000 ** 2 + graph.BFS_GATHER_BYTES
 
 
 class TestOverflow:
