@@ -6,14 +6,16 @@ weaker connection); weight 0 is a legal edge meaning distance 0 and is
 distinct from the absence of an edge.  The graph is a sparse matrix built
 from coordinate triples: that keeps weight-0 edges, which csgraph drops from
 a dense matrix.  Connectivity comes from ``scipy.sparse.csgraph``, and the
-graph's weights choose the distance engine.  If every edge weighs the same
-``w > 0`` and every ``k * w`` with ``k <= 2n`` is exact, one bitset BFS from
-every source at once counts the hops and the distances are the hops times
-``w``: the bits that Dijkstra and Floyd-Warshall give too.  Every other
-graph, and one with a pair more than ``BFS_MAX_LEVELS`` hops apart, goes to
-csgraph's ``shortest_path``, which picks Floyd-Warshall or Dijkstra by
-density.  scipy.sparse is loaded on first use, when the first network is
-made.
+graph's weights choose the distance engine.  If every weight is ``k * u``
+for one unit ``u`` and small integers ``k`` (equal weights are ``k = 1``),
+one bucketed bitset BFS from every source at once counts each distance in
+units, after the components joined by weight-0 edges are contracted, and
+the distances are those counts times ``u``: the bits that Dijkstra and
+Floyd-Warshall give too.  One Dijkstra from node 0 bounds the BFS's levels
+before it starts.  Every other graph, and one that is too small or whose
+pairs may lie more than ``BFS_MAX_LEVELS`` units apart, goes to csgraph's
+``shortest_path``, which picks Floyd-Warshall or Dijkstra by density.
+scipy.sparse is loaded on first use, when the first network is made.
 
 One constructor, ``_network``, turns edges given as index columns into a
 network: the builders pass their index arrays, the other callers look each
@@ -43,14 +45,14 @@ if TYPE_CHECKING:
 
 Edge = tuple[str, str, float]
 
-# the BFS of an equal-weight graph gathers its neighbours' bitsets, and
-# unpacks its hop counts, in blocks of about BFS_GATHER_BYTES (a gather block
-# holds one node at least).  It hands a graph whose pairs lie more than
-# BFS_MAX_LEVELS hops apart over to scipy: each level costs O(n^2 / 64)
-# words, so long paths are scipy's.  The hop counts are uint8, so the cap is
-# at most 255.
+# the BFS of a graph of weights k * u gathers its neighbours' bitsets, and
+# unpacks its distances in units, in blocks of about BFS_GATHER_BYTES (a
+# gather block holds one node at least).  It runs one level per unit, at most
+# BFS_MAX_LEVELS of them, and leaves a graph whose pairs may lie farther apart
+# to scipy: each level costs O(n^2 / 64) words, so long paths are scipy's.
+# The distances in units are uint8, so the cap is at most 255.
 BFS_GATHER_BYTES = 1 << 22
-BFS_MAX_LEVELS = 64
+BFS_MAX_LEVELS = 255
 
 
 @dataclass(frozen=True)
@@ -221,9 +223,10 @@ def _symmetric_csr(u: np.ndarray, v: np.ndarray, w: np.ndarray, n: int) -> csr_m
 def geodesic_distances(net: Network) -> DistanceMatrix:
     """All-pairs shortest-path distances, diameter and one attaining pair.
 
-    A graph of one edge weight ``w > 0``, whose multiples ``k * w`` with
-    ``k <= 2n`` are exact, is searched by ``_hop_distances``; any other, or
-    one with a pair more than ``BFS_MAX_LEVELS`` hops apart, by scipy's
+    A graph whose weights are ``k * u`` for one unit ``u``, whose multiples
+    up to ``2 * BFS_MAX_LEVELS * u`` are exact, is searched by
+    ``_hop_distances`` if node 0's eccentricity ``e`` in units keeps ``2e``
+    within ``BFS_MAX_LEVELS`` and ``n - 32``; any other by scipy's
     ``shortest_path``.  Both give the same bits where the first applies.
     The diameter pair is the first maximizing pair in node order, which
     makes the tie-break deterministic.  Under the longest-path convention,
@@ -260,89 +263,158 @@ def geodesic_distances(net: Network) -> DistanceMatrix:
     return DistanceMatrix(net.ids, d, float(d[i, j]), (net.ids[i], net.ids[j]), g)
 
 
-def _exact_weight(g: csr_matrix) -> float | None:
-    """The weight ``w > 0`` of every edge of ``g``, if each ``k * w`` with ``k <= 2n`` is exact.
-
-    Then Dijkstra's and Floyd-Warshall's sums of path weights are all such
-    multiples, so they and the hop count times ``w`` give the same bits.
-    """
-    if not g.nnz:
-        return None
-    w = float(g.data[0])
-    if not w > 0 or not (g.data == w).all():
-        return None
-    top = w.as_integer_ratio()[0]
-    return w if top // (top & -top) * 2 * g.shape[0] < 1 << 53 else None
-
-
 def _hop_distances(g: csr_matrix) -> np.ndarray | None:
-    """Distances on a graph of one exact weight, by a BFS from every source at once.
+    """Distances on a graph of weights ``k * u``, by a bucketed BFS from every source at once.
 
-    Bit ``s`` of ``reached[v]`` says that source ``s`` has reached ``v``; each
-    level ORs into it the bitsets of ``v``'s neighbours, and the level that
-    first sets a bit is written bit by bit into ``planes``.  Unreached pairs
-    are ``inf``.  ``None`` unless ``_exact_weight`` accepts ``g`` and no
-    pair lies more than ``BFS_MAX_LEVELS`` hops apart.
+    ``_grid`` finds the unit ``u``, the multiples ``k`` and the number of
+    levels.  The components joined by weight-0 edges are contracted to one
+    node each before the BFS, and each node's row of the contracted
+    distances is its component's.  Unreached pairs are ``inf``.  ``None``
+    unless ``_grid`` accepts ``g``.
     """
-    w = _exact_weight(g)
-    if w is None:
+    grid = _grid(g)
+    if grid is None:
         return None
-    found = _bfs(g)
-    if found is None:
-        return None
-    reached, planes = found
+    u, k, levels, connected = grid
     n = g.shape[0]
+    indptr, indices, labels = g.indptr, g.indices, None
+    if not k.all():
+        from scipy.sparse import csr_matrix
+        from scipy.sparse.csgraph import connected_components
+        tails, zero = np.repeat(np.arange(n), np.diff(indptr)), k == 0
+        m, labels = connected_components(
+            csr_matrix((zero[zero], (tails[zero], indices[zero])), shape=g.shape), directed=False)
+        a, b = labels[tails], labels[indices]
+        # weight-0 edges, and heavier edges inside a component, join a node to itself
+        keep = np.flatnonzero(a != b)
+        keep = keep[np.argsort(a[keep], kind="stable")]
+        indptr = np.concatenate(([0], np.cumsum(np.bincount(a[keep], minlength=m))))
+        indices, k = b[keep], k[keep]
+    reached, planes = _bfs(indptr, indices, k, levels, connected)
     d = np.empty((n, n))
-    unpack = partial(np.unpackbits, axis=1, count=n, bitorder="little")
-    # every node reaches itself, so the rows are equal only if they are full
-    spread = (reached != reached[0]).any()
+    unpack = partial(np.unpackbits, axis=1, count=len(reached), bitorder="little")
+    cols = slice(None) if labels is None else labels
     step = max(1, BFS_GATHER_BYTES // n)
     for r0 in range(0, n, step):
-        rows = slice(r0, r0 + step)
-        hops = unpack(planes[0][rows].view(np.uint8))
+        rows = slice(r0, r0 + step) if labels is None else labels[r0:r0 + step]
+        units = unpack(planes[0][rows].view(np.uint8))
         for b, plane in enumerate(planes[1:], 1):
-            hops |= unpack(plane[rows].view(np.uint8)) << b
+            units |= unpack(plane[rows].view(np.uint8)) << b
+        out = d[r0:r0 + step]
         with np.errstate(over="ignore"):  # beyond the float range is inf, as for scipy
-            np.multiply(hops, w, out=d[rows])
-        if spread:
-            np.copyto(d[rows], np.inf, where=unpack(reached[rows].view(np.uint8)) == 0)
+            np.multiply(units[:, cols], u, out=out)
+        if not connected:
+            np.copyto(out, np.inf, where=unpack(reached[rows].view(np.uint8))[:, cols] == 0)
     return d
 
 
-def _bfs(g: csr_matrix) -> tuple[np.ndarray, list[np.ndarray]] | None:
-    """The BFS's final ``reached`` and the bit planes of each pair's hop count."""
-    n = g.shape[0]
+def _grid(g: csr_matrix) -> tuple[float, np.ndarray, int, bool] | None:
+    """The unit ``u`` of ``g``, its weights in units, its BFS levels and whether it is connected.
+
+    ``u`` is the gcd of the positive weights, and every weight is ``k * u``
+    for an integer ``k`` from 0 to ``W``.  ``None`` if a weight is negative
+    or ``-0.0``, if no weight is positive, if the BFS's ring of ``W + 1``
+    levels' bitsets would outgrow the ``n x n`` distances, if ``k * u`` is
+    inexact for some ``k <= 2 * BFS_MAX_LEVELS``, or if the levels are too
+    many.  Below that bound every Dijkstra and Floyd-Warshall
+    sum is a multiple ``k * u``, so they and the BFS give the same bits.
+    The levels are ``2e``, where ``e`` is node 0's eccentricity in units (in
+    a disconnected graph, the largest of one node's per component): they
+    bound every distance.  The BFS runs only if they are at most
+    ``BFS_MAX_LEVELS`` and at most ``n - 32``: scipy wins on long graphs
+    and on tiny ones.
+    """
+    n, w = g.shape[0], g.data
+    # measured from n = 6 to 1000, a level costs about one of scipy's n
+    # single-source searches, and the rest of the BFS up to 32 of them
+    most = min(BFS_MAX_LEVELS, n - 32)
+    # the ring holds W + 1 levels of n x ceil(n / 64) words
+    top = min(BFS_MAX_LEVELS, n // -(-n // 64) - 1)
+    if most < 2 or not len(w) or np.signbit(w).any():
+        return None
+    hi, lo = float(w.max()), float(np.min(w, where=w > 0, initial=np.inf))
+    if not hi > 0 or hi > top * lo:
+        return None
+    from math import gcd
+    # u is the gcd of the weights met so far; each weight that is not a
+    # multiple of u at least halves it, so the loop ends within 9 turns
+    u, k = lo, np.empty(len(w), dtype=np.uint8)
+    while True:
+        p, q = u.as_integer_ratio()
+        if hi / u > top or p // (p & -p) * 2 * BFS_MAX_LEVELS >= 1 << 53:
+            return None
+        np.divide(w, u, out=k, casting="unsafe")
+        off = k * u != w
+        if not off.any():
+            break
+        a, b = float(w[off.argmax()]).as_integer_ratio()
+        scale = max(b, q)  # a power of two
+        u = gcd(p * (scale // q), a * (scale // b)) / scale  # exact
+    from scipy.sparse.csgraph import connected_components, dijkstra
+    # sums up to 2 * BFS_MAX_LEVELS units are exact, so ecc is too where it matters
+    ecc = dijkstra(g, directed=True, indices=0)
+    connected = bool(np.isfinite(ecc).all())
+    if not connected:  # one source in each component
+        _, comp = connected_components(g, directed=False)
+        ecc = dijkstra(g, directed=True, indices=np.unique(comp, return_index=True)[1],
+                       min_only=True)
+    levels = 2 * float(ecc.max()) / u
+    if not 0 < levels <= most:  # an overflowing sum is inf
+        return None
+    return u, k, int(levels), connected
+
+
+def _bfs(indptr: np.ndarray, indices: np.ndarray, k: np.ndarray, levels: int,
+         connected: bool) -> tuple[np.ndarray, list[np.ndarray]]:
+    """The final ``reached`` of a Dial BFS and the bit planes of each pair's distance in units.
+
+    Bit ``s`` of ``reached_L[v]`` says that source ``s`` lies at most ``L``
+    units from ``v``.  Level ``L`` ORs ``reached_{L-1}[v]`` with
+    ``reached_{L-k}[x]`` for each neighbour ``x`` at ``k`` units, read from
+    a ring of the last ``W + 1`` levels, and writes the level that first
+    sets a bit into ``planes``.  It stops after ``levels`` levels, or once
+    every row of a connected graph is full.
+    """
+    n = len(indptr) - 1
     words = -(-n // 64)
+    slots = int(k.max(initial=0)) + 1
     nodes = np.arange(n + 1)
-    reached = np.zeros((n, words), dtype=np.uint64)
-    reached[nodes[:n], nodes[:n] // 64] = np.uint64(1) << (nodes[:n] % 64).astype(np.uint64)
+    ring = np.zeros((slots, n, words), dtype=np.uint64)
+    ring[0, nodes[:n], nodes[:n] // 64] = np.uint64(1) << (nodes[:n] % 64).astype(np.uint64)
+    if n % 64:  # the bits past the last source are set, so a full row is all ones
+        ring[0, :, -1] |= np.uint64((1 << 64) - (1 << n % 64))
+    flat = ring.reshape(-1, words)
     # node blocks whose gathered rows, each node's own and then its
-    # neighbours', fit the byte budget
-    own = g.indptr + nodes
+    # neighbours', fit the byte budget.  A row k levels back lies k * n rows
+    # before the current level's in the ring, a node's own row one level back.
+    own = indptr + nodes
     blocks = []
     r0 = 0
     while r0 < n:
         top = own[r0] + max(1, BFS_GATHER_BYTES // (8 * words))
         r1 = min(n, max(r0 + 1, int(np.searchsorted(own, top, side="right")) - 1))
-        lo, hi = g.indptr[r0], g.indptr[r1]
-        idx = np.insert(g.indices[lo:hi], g.indptr[r0:r1] - lo, nodes[r0:r1])
-        blocks.append((slice(r0, r1), idx, own[r0:r1] - own[r0]))
+        lo, hi = indptr[r0], indptr[r1]
+        back = np.insert(indices[lo:hi] - k[lo:hi].astype(indices.dtype) * n,
+                         indptr[r0:r1] - lo, nodes[r0:r1] - n)
+        blocks.append((slice(r0, r1), back, own[r0:r1] - own[r0]))
         r0 = r1
-    nxt, new = np.empty_like(reached), np.empty_like(reached)
-    planes = []
-    for level in range(1, BFS_MAX_LEVELS + 2):
-        for rows, idx, starts in blocks:
-            np.bitwise_or.reduceat(reached[idx], starts, axis=0, out=nxt[rows])
-        np.bitwise_xor(nxt, reached, out=new)
-        if not new.any():
-            return reached, planes
+    new = np.empty((n, words), dtype=np.uint64)
+    full = np.uint64((1 << 64) - 1)
+    cur, planes = ring[0], []
+    for level in range(1, levels + 1):
+        cur, shift = ring[level % slots], level % slots * n
+        for rows, back, starts in blocks:
+            np.bitwise_or.reduceat(flat.take(back + shift, axis=0, mode="wrap"), starts, axis=0,
+                                   out=cur[rows])
+        np.bitwise_xor(cur, ring[(level - 1) % slots], out=new)
         if level.bit_length() > len(planes):
-            planes.append(np.zeros_like(reached))
+            planes.append(np.zeros_like(new))
         for b, plane in enumerate(planes):
             if level >> b & 1:
                 plane |= new
-        reached, nxt = nxt, reached
-    return None  # a pair lies more than BFS_MAX_LEVELS hops apart
+        if connected and np.bitwise_and.reduce(cur, axis=None) == full:
+            break
+    return cur.copy(), planes  # the copy lets the ring go
 
 
 def average_path_length(net: Network) -> float:

@@ -6,6 +6,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 import netpolar.graph as graph
 from netpolar.builders import (
@@ -254,6 +256,31 @@ def unit_graph(n, pairs, w=1.0, allow_disconnected=False):
                             [(ids[a], ids[b], w) for a, b in pairs], allow_disconnected)
 
 
+# units of the grid graphs: a subnormal one, and 2^1023, whose 2 * 2^1023 overflows
+GRID_UNITS = [1.0, 0.125, 3.0, 0.75, 2.0 ** -30, 2.0 ** 600, 2.0 ** -1060, 2.0 ** 1023]
+
+
+def grid_graph(rng, n, unit, top, chords, zeros=0.0, parts=1):
+    """A graph of weights ``k * unit`` with ``1 <= k <= top``, or 0 at rate ``zeros``.
+
+    Its nodes, in random order, form ``parts`` random recursive trees (paths
+    when ``chords`` is 0) with about ``chords * n`` more edges inside them.
+    """
+    cuts = [0, *sorted(rng.choice(np.arange(1, n), parts - 1, replace=False).tolist()), n]
+    pairs = set()
+    for lo, hi in zip(cuts, cuts[1:]):
+        pairs |= {(int(rng.integers(lo, v)) if chords else v - 1, v) for v in range(lo + 1, hi)}
+        for _ in range(int(chords * (hi - lo))):
+            a, b = sorted(rng.integers(lo, hi, 2).tolist())
+            if a < b:
+                pairs.add((a, b))
+    ids = [str(i) for i in rng.permutation(n)]
+    weights = np.where(rng.random(len(pairs)) < zeros, 0, rng.integers(1, top + 1, len(pairs)))
+    return validate_network([(i, 1.0) for i in ids],
+                            [(ids[a], ids[b], k * unit) for (a, b), k in
+                             zip(sorted(pairs), weights.tolist())], parts > 1)
+
+
 def random_tree_pairs(rng, n, extra):
     """A random recursive tree, shallow enough for the BFS, and about ``extra`` more edges."""
     pairs = {(int(rng.integers(0, v)), v) for v in range(1, n)}
@@ -262,7 +289,7 @@ def random_tree_pairs(rng, n, extra):
 
 
 class TestHopEngine:
-    """Graphs of one exact weight take the all-source BFS, with scipy's bits."""
+    """Graphs whose weights share one exact unit take the all-source BFS, with scipy's bits."""
 
     @pytest.fixture
     def searches(self, monkeypatch):
@@ -283,9 +310,11 @@ class TestHopEngine:
             return geodesic_distances(net)
 
     def assert_scipy_bits(self, net, searches, monkeypatch, bfs=True):
+        """``net``'s distances against scipy's, and ``bfs`` (unless ``None``) against the engine."""
         before = len(searches)
         dm = geodesic_distances(net)
-        assert len(searches) - before == (0 if bfs else 1)
+        if bfs is not None:
+            assert len(searches) - before == (0 if bfs else 1)
         ref = self.scipy_geodesics(net, monkeypatch)
         assert (dm.d.view(np.uint64) == ref.d.view(np.uint64)).all()
         assert (dm.diameter, dm.diameter_pair) == (ref.diameter, ref.diameter_pair)
@@ -311,7 +340,7 @@ class TestHopEngine:
                                                    tuple(map(tuple, rows.tolist())))))
         nets += [build_complete_uniform([1.0] * n) for n in (2, 3, 50)]
         for net in nets:
-            self.assert_scipy_bits(net, searches, monkeypatch)
+            self.assert_scipy_bits(net, searches, monkeypatch, bfs=net.n > 32)
         assert geodesic_distances(nets[9]).diameter == 10.0
         assert geodesic_distances(nets[14]).diameter == 15.0
 
@@ -321,25 +350,25 @@ class TestHopEngine:
         rng = np.random.default_rng(n)
         for extra in (1.0 / n, 0.5):  # sparse, dense
             net = unit_graph(n, random_tree_pairs(rng, n, extra), w)
-            self.assert_scipy_bits(net, searches, monkeypatch)
+            self.assert_scipy_bits(net, searches, monkeypatch, bfs=n > 2)
 
     def test_disconnected_graph_under_longest_path(self, searches, monkeypatch):
         # a 4-path, a triangle and an isolated node
         net = unit_graph(8, [(0, 1), (1, 2), (2, 3), (4, 5), (5, 6), (4, 6)], 0.5,
                          allow_disconnected=True)
-        dm = self.assert_scipy_bits(net, searches, monkeypatch)
+        dm = self.assert_scipy_bits(net, searches, monkeypatch, bfs=False)
         assert dm.d[0, 7] == dm.d[4, 0] == dm.diameter == 1.5
         searches.clear()
         with pytest.raises(DisconnectedError):
             geodesic_distances(replace(net, longest_path_convention=False))
-        assert not searches
+        assert len(searches) == 1
 
     def test_overflowing_chain_is_a_domain_error(self, searches):
         for allow in (False, True):
             net = unit_graph(4 if allow else 3, [(0, 1), (1, 2)], 2.0 ** 1023, allow)
             with pytest.raises(DomainError, match="overflows the float range"):
                 geodesic_distances(net)
-        assert not searches
+        assert len(searches) == 2
 
     @pytest.mark.parametrize("weights", [[0.1] * 3, [0.0] * 3, [-0.0] * 3, [0.0, -0.0, 0.0],
                                          [1.0, 2.0, 1.0], [1.0 + 2.0 ** -52] * 3])
@@ -349,23 +378,40 @@ class TestHopEngine:
                                [(a, b, w) for a, b, w in zip(ids, ids[1:], weights)])
         self.assert_scipy_bits(net, searches, monkeypatch, bfs=False)
 
+    @pytest.mark.parametrize("weights, bfs", [([0.1], False), ([0.0], False), ([-0.0], False),
+                                              ([1.0, -0.0], False), ([1.0 + 2.0 ** -52], False),
+                                              ([1.0, 2.0, 1.0], True), ([3.0, 2.0], True),
+                                              ([0.375, 0.25], True)])
+    def test_weights_choose_the_engine_on_large_graphs(self, weights, bfs, searches,
+                                                        monkeypatch):
+        # the weights above, cycled over a graph large enough for the BFS; the
+        # unit of the last two (1 and 1/8) is none of their weights
+        n = 60
+        ids = [str(i) for i in range(n)]
+        pairs = random_tree_pairs(np.random.default_rng(4), n, 0.5)
+        net = validate_network([(i, 1.0) for i in ids],
+                               [(ids[a], ids[b], weights[e % len(weights)])
+                                for e, (a, b) in enumerate(pairs)])
+        self.assert_scipy_bits(net, searches, monkeypatch, bfs=bfs)
+
     def test_inexact_multiples_go_to_scipy(self, searches, monkeypatch):
-        # an odd significand of 2^51 - 1 times 2n is below 2^53 for n = 2 only
+        # tiny graphs go to scipy whatever their weights; test_inexact_units_go_to_scipy
+        # holds the exactness bound on graphs large enough for the BFS
         w = float((1 << 51) - 1)
-        self.assert_scipy_bits(unit_graph(2, [(0, 1)], w), searches, monkeypatch)
+        self.assert_scipy_bits(unit_graph(2, [(0, 1)], w), searches, monkeypatch, bfs=False)
         self.assert_scipy_bits(unit_graph(3, [(0, 1), (1, 2)], w), searches, monkeypatch,
                                bfs=False)
 
     def test_paths_past_the_level_cap_go_to_scipy(self, searches, monkeypatch):
         cap = graph.BFS_MAX_LEVELS
         at_cap = unit_graph(cap + 1, [(i, i + 1) for i in range(cap)])
-        assert self.assert_scipy_bits(at_cap, searches, monkeypatch).diameter == cap
+        assert self.assert_scipy_bits(at_cap, searches, monkeypatch, bfs=False).diameter == cap
         for n in (cap + 2, 300):
             long = unit_graph(n, [(i, i + 1) for i in range(n - 1)])
             assert self.assert_scipy_bits(long, searches, monkeypatch, bfs=False).diameter == n - 1
 
     def test_small_gather_budget_gives_the_same_bits(self, searches, monkeypatch):
-        # one node per gather block, and one row per block of the hop counts
+        # one node per gather block, and one row per block of the distances in units
         rng = np.random.default_rng(5)
         nets = [unit_graph(n, random_tree_pairs(rng, n, extra), 2.0)
                 for n in (70, 130) for extra in (0.02, 0.6)]
@@ -388,6 +434,66 @@ class TestHopEngine:
             tracemalloc.stop()
         assert not searches
         assert peak < 8 * 1000 ** 2 + graph.BFS_GATHER_BYTES
+
+    @pytest.mark.parametrize("n, top", [(400, 40), (1000, 60)])
+    def test_peak_memory_with_a_ring_of_levels(self, n, top, searches):
+        # at n = 1000 the ring of 61 levels is about as large as the distances
+        net = grid_graph(np.random.default_rng(11), n, 0.125, top, 3.0, zeros=0.05)
+        assert int(net._csgraph.data.max() / 0.125) == top
+        tracemalloc.start()
+        try:
+            geodesic_distances(net)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert not searches
+        assert peak < 8 * n ** 2 + graph.BFS_GATHER_BYTES
+
+    @settings(max_examples=80, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    # spans past the cap: a path, and three parts joined by weight-0 edges
+    @example(n=128, unit=1.0, top=10, chords=0.0, zeros=0.0, parts=1, seed=0)
+    @example(n=128, unit=0.75, top=10, chords=0.0, zeros=0.1, parts=3, seed=1)
+    @given(n=st.integers(40, 128), unit=st.sampled_from(GRID_UNITS), top=st.integers(1, 10),
+           chords=st.sampled_from([0.0, 1.0, 4.0]), zeros=st.sampled_from([0.0, 0.1, 0.5]),
+           parts=st.integers(1, 3), seed=st.integers(0, 2 ** 32 - 1))
+    def test_grid_graphs_give_scipy_bits(self, n, unit, top, chords, zeros, parts, seed,
+                                         searches, monkeypatch):
+        if unit == 2.0 ** 1023:
+            top = 1  # the only multiple in the float range
+        net = grid_graph(np.random.default_rng(seed), n, unit, top, chords, zeros, parts)
+        try:
+            ref = self.scipy_geodesics(net, monkeypatch)
+        except DomainError:  # a path sum past the float range
+            with pytest.raises(DomainError, match="overflows the float range"):
+                geodesic_distances(net)
+            return
+        # a span past the cap goes to scipy
+        past_cap = ref.diameter / unit > graph.BFS_MAX_LEVELS
+        self.assert_scipy_bits(net, searches, monkeypatch, bfs=False if past_cap else None)
+
+    @pytest.mark.parametrize("unit, top, bfs", [(float((1 << 44) - 1), 3, True),
+                                                (float((1 << 45) - 1), 3, False), (0.1, 1, False)])
+    def test_inexact_units_go_to_scipy(self, unit, top, bfs, searches, monkeypatch):
+        # every k * unit with k <= 2 * BFS_MAX_LEVELS = 510 is exact iff unit's
+        # odd significand is below 2^53 / 510, just above 2^44
+        net = grid_graph(np.random.default_rng(2), 100, unit, top, 3.0)
+        self.assert_scipy_bits(net, searches, monkeypatch, bfs=bfs)
+
+    def test_long_and_tiny_graphs_run_no_level(self, searches, monkeypatch):
+        levels, bfs = [], graph._bfs
+        monkeypatch.setattr(graph, "_bfs", lambda *args: levels.append(args[3]) or bfs(*args))
+        rng = np.random.default_rng(7)
+        # unit paths, a unit star, and 5- and 6-node graphs of weights k / 8 with k <= 40
+        nets = [unit_graph(n, [(i, i + 1) for i in range(n - 1)]) for n in (6, 300)]
+        nets.append(unit_graph(6, [(0, i) for i in range(1, 6)]))
+        nets += [grid_graph(rng, n, 0.125, 40, 0.5) for n in (5, 6)]
+        for net in nets:
+            geodesic_distances(net)
+        assert not levels and len(searches) == len(nets)
+        geodesic_distances(grid_graph(rng, 400, 0.125, 40, 3.0, zeros=0.05))
+        assert len(levels) == 1 and levels[0] <= graph.BFS_MAX_LEVELS
+        assert len(searches) == len(nets)
 
 
 class TestOverflow:
